@@ -1,11 +1,16 @@
-// Supporting kernel microbenchmarks (google-benchmark): GEMM, dequantising
-// GEMM, softmax, RMSNorm, 1-D k-means, BM25 — the primitives whose costs set
-// the compute side of the overlap window.
+// Supporting kernel microbenchmarks (google-benchmark): the GEMM at every
+// storage tier over the proxy's projection shapes, softmax, RMSNorm, 1-D
+// k-means, BM25 — the primitives whose costs set the compute side of the
+// overlap window.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/cluster.h"
+#include "src/model/weights.h"
 #include "src/retrieval/bm25.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/quant.h"
 
@@ -21,37 +26,73 @@ Tensor RandomTensor(size_t rows, size_t cols, uint64_t seed, MemoryTracker* trac
   return t;
 }
 
+// Projection shapes {m rows, in, out} of the Qwen3-0.6B proxy: the 96→96
+// attention projections at three chunk sizes, then the FFN up (96→288) and
+// down (288→96) projections.
+void ProjectionShapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"m", "in", "out"});
+  for (const int64_t m : {64, 256, 1024}) {
+    b->Args({m, 96, 96});
+  }
+  b->Args({1024, 96, 288});
+  b->Args({1024, 288, 96});
+}
+
+struct GemmShape {
+  size_t m;
+  size_t in;
+  size_t out;
+};
+
+GemmShape ShapeOf(const benchmark::State& state) {
+  return {static_cast<size_t>(state.range(0)), static_cast<size_t>(state.range(1)),
+          static_cast<size_t>(state.range(2))};
+}
+
+void SetGemmItems(benchmark::State& state, const GemmShape& s) {
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(2 * s.m * s.in * s.out));
+}
+
+// The Tensor entry point: fp32 weights, one tracked panel allocated per call.
 void BM_MatMulTransB(benchmark::State& state) {
   MemoryTracker tracker;
-  const size_t m = static_cast<size_t>(state.range(0));
-  const size_t d = 96;
-  const Tensor a = RandomTensor(m, d, 1, &tracker);
-  const Tensor w = RandomTensor(d, d, 2, &tracker);
-  Tensor c(m, d, MemCategory::kScratch, &tracker);
+  const GemmShape s = ShapeOf(state);
+  const Tensor a = RandomTensor(s.m, s.in, 1, &tracker);
+  const Tensor w = RandomTensor(s.out, s.in, 2, &tracker);
+  Tensor c(s.m, s.out, MemCategory::kScratch, &tracker);
   for (auto _ : state) {
     MatMulTransB(a, w, &c);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(2 * m * d * d));
+  SetGemmItems(state, s);
 }
-BENCHMARK(BM_MatMulTransB)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_MatMulTransB)->Apply(ProjectionShapes);
 
-void BM_QuantMatMulTransB(benchmark::State& state) {
+// The layer's path at each storage tier: an encoded weight packed through
+// its tier's dequantising packer into a reused panel.
+void BM_TierMatMulTransB(benchmark::State& state, Precision precision) {
   MemoryTracker tracker;
-  const size_t m = static_cast<size_t>(state.range(0));
-  const size_t d = 96;
-  const Tensor a = RandomTensor(m, d, 3, &tracker);
-  const Tensor w = RandomTensor(d, d, 4, &tracker);
-  const QuantizedMatrix qw =
-      QuantizedMatrix::Quantize(w.data(), d, d, 32, MemCategory::kScratch, &tracker);
-  std::vector<float> c(m * d);
+  const GemmShape s = ShapeOf(state);
+  const size_t group = 32;
+  const Tensor a = RandomTensor(s.m, s.in, 3, &tracker);
+  const Tensor w = RandomTensor(s.out, s.in, 4, &tracker);
+  std::vector<uint8_t> encoded(MatrixSpanBytes(precision, s.out, s.in, group));
+  EncodeMatrix(precision, w.data(), s.out, s.in, group, encoded.data());
+  const WeightView view = WeightView::Encoded(precision, encoded.data(), s.out, s.in, group);
+  std::vector<float> panel(PanelFloats(s.in));
+  std::vector<float> c(s.m * s.out);
   for (auto _ : state) {
-    qw.MatMulTransB(a.data(), m, c.data());
+    view.MatMulTransB(a.data(), s.m, c.data(), panel);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(2 * m * d * d));
+  SetGemmItems(state, s);
 }
-BENCHMARK(BM_QuantMatMulTransB)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK_CAPTURE(BM_TierMatMulTransB, fp32, Precision::kFp32)->Apply(ProjectionShapes);
+BENCHMARK_CAPTURE(BM_TierMatMulTransB, fp16, Precision::kFp16)->Apply(ProjectionShapes);
+BENCHMARK_CAPTURE(BM_TierMatMulTransB, int8, Precision::kInt8)->Apply(ProjectionShapes);
+BENCHMARK_CAPTURE(BM_TierMatMulTransB, w4, Precision::kW4)->Apply(ProjectionShapes);
 
 void BM_SoftmaxRow(benchmark::State& state) {
   std::vector<float> row(static_cast<size_t>(state.range(0)));

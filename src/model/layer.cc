@@ -1,11 +1,24 @@
 #include "src/model/layer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
 
 namespace prism {
+
+namespace {
+
+// Floats of the GEMM panel: one strip over the longest inner dimension any
+// matmul of the layer uses (hidden for Q/K/V/O and up/gate, ffn for down,
+// head_dim for QKᵀ and seq for PV).
+size_t PanelFloatsFor(const ModelConfig& config, size_t seq_len) {
+  return PanelFloats(std::max({config.hidden, config.ffn, seq_len}));
+}
+
+}  // namespace
 
 LayerScratch LayerScratch::Make(const ModelConfig& config, size_t max_rows, size_t seq_len,
                                 MemoryTracker* tracker) {
@@ -23,6 +36,7 @@ LayerScratch LayerScratch::Make(const ModelConfig& config, size_t max_rows, size
   }
   s.ffn_down = Tensor(max_rows, config.hidden, cat, tracker);
   s.scores = Tensor(seq_len, seq_len, cat, tracker);
+  s.panel = Tensor(1, PanelFloatsFor(config, seq_len), cat, tracker);
   return s;
 }
 
@@ -32,19 +46,21 @@ int64_t LayerScratch::BytesFor(const ModelConfig& config, size_t rows, size_t se
   floats += static_cast<int64_t>(rows) * static_cast<int64_t>(config.ffn) *
             (config.arch == ModelArch::kDecoderOnly ? 2 : 1);
   floats += static_cast<int64_t>(seq_len) * static_cast<int64_t>(seq_len);
+  floats += static_cast<int64_t>(PanelFloatsFor(config, seq_len));
   return floats * static_cast<int64_t>(sizeof(float));
 }
 
 namespace {
 
 // Projects rows of `x` through one of the layer's weight matrices, letting
-// the view dispatch on its storage precision (fused dequantising GEMM).
-void Project(const Tensor& x, size_t rows, const WeightView& w, size_t out_dim, Tensor* out) {
+// the view pack its storage precision into the GEMM panel.
+void Project(const Tensor& x, size_t rows, const WeightView& w, size_t out_dim, Tensor* out,
+             std::span<float> panel) {
   PRISM_CHECK_GE(out->rows(), rows);
   PRISM_CHECK_EQ(out->cols(), out_dim);
   PRISM_CHECK_EQ(w.cols, x.cols());
   PRISM_CHECK_EQ(w.rows, out_dim);
-  w.MatMulTransB(x.data(), rows, out->data());
+  w.MatMulTransB(x.data(), rows, out->data(), panel);
 }
 
 void ApplyNorm(const ModelConfig& config, Tensor* t, size_t rows, std::span<const float> gain,
@@ -97,55 +113,41 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
   const size_t dh = config.head_dim();
   const bool causal = config.arch == ModelArch::kDecoderOnly;
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
+  const std::span<float> panel = scratch->panel.flat();
 
   // --- Attention sublayer (pre-norm residual) ---
   std::copy(hidden->data(), hidden->data() + rows * d, scratch->normed.data());
   ApplyNorm(config, &scratch->normed, rows, w.norm1_gain, w.norm1_bias);
-  Project(scratch->normed, rows, w.wq, d, &scratch->q);
-  Project(scratch->normed, rows, w.wk, d, &scratch->k);
-  Project(scratch->normed, rows, w.wv, d, &scratch->v);
+  Project(scratch->normed, rows, w.wq, d, &scratch->q, panel);
+  Project(scratch->normed, rows, w.wk, d, &scratch->k, panel);
+  Project(scratch->normed, rows, w.wv, d, &scratch->v, panel);
 
+  // Per candidate and head, both attention matmuls run the shared kernel on
+  // strided slices of Q, K and V (row stride d, starting at the head's column).
+  float* scores = scratch->scores.data();
   for (size_t c = 0; c < candidates; ++c) {
-    const size_t base = c * seq_len;
+    const size_t at = c * seq_len * d;
     for (size_t h = 0; h < heads; ++h) {
       const size_t col0 = h * dh;
       // scores[i][j] = q_i · k_j / sqrt(dh), within this candidate and head.
+      const Fp32MatrixView keys{scratch->k.data() + at + col0, seq_len, dh, d, 1};
+      PackedGemm(keys, scratch->q.data() + at + col0, d, seq_len, scores, seq_len, panel);
       for (size_t i = 0; i < seq_len; ++i) {
-        const float* qi = scratch->q.data() + (base + i) * d + col0;
-        float* srow = scratch->scores.data() + i * seq_len;
+        float* srow = scores + i * seq_len;
         for (size_t j = 0; j < seq_len; ++j) {
-          const float* kj = scratch->k.data() + (base + j) * d + col0;
-          float acc = 0.0f;
-          for (size_t x = 0; x < dh; ++x) {
-            acc += qi[x] * kj[x];
-          }
-          srow[j] = acc * inv_sqrt_dh;
+          srow[j] *= inv_sqrt_dh;
         }
         SoftmaxRowInPlace({srow, seq_len}, causal ? static_cast<ptrdiff_t>(i) : -1);
       }
-      // ctx_i = Σ_j scores[i][j] · v_j.
-      for (size_t i = 0; i < seq_len; ++i) {
-        float* ctx = scratch->attn_ctx.data() + (base + i) * d + col0;
-        for (size_t x = 0; x < dh; ++x) {
-          ctx[x] = 0.0f;
-        }
-        const float* srow = scratch->scores.data() + i * seq_len;
-        const size_t jmax = causal ? i + 1 : seq_len;
-        for (size_t j = 0; j < jmax; ++j) {
-          const float sv = srow[j];
-          if (sv == 0.0f) {
-            continue;
-          }
-          const float* vj = scratch->v.data() + (base + j) * d + col0;
-          for (size_t x = 0; x < dh; ++x) {
-            ctx[x] += sv * vj[x];
-          }
-        }
-      }
+      // ctx_i = Σ_j scores[i][j] · v_j: Vᵀ as the [dh, seq] operand. Masked
+      // (zero) scores add exact zeros, so the sum matches skipping them.
+      const Fp32MatrixView values_t{scratch->v.data() + at + col0, dh, seq_len, 1, d};
+      PackedGemm(values_t, scores, seq_len, seq_len, scratch->attn_ctx.data() + at + col0, d,
+                 panel);
     }
   }
 
-  Project(scratch->attn_ctx, rows, w.wo, d, &scratch->attn_out);
+  Project(scratch->attn_ctx, rows, w.wo, d, &scratch->attn_out, panel);
   // Residual add (only the active rows).
   {
     float* ph = hidden->data();
@@ -161,24 +163,24 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
   const size_t f = config.ffn;
   if (config.arch == ModelArch::kDecoderOnly) {
     // SwiGLU: down( silu(gate(x)) ⊙ up(x) ).
-    Project(scratch->normed, rows, w.w_gate, f, &scratch->ffn_gate);
-    Project(scratch->normed, rows, w.w_up, f, &scratch->ffn_up);
+    Project(scratch->normed, rows, w.w_gate, f, &scratch->ffn_gate, panel);
+    Project(scratch->normed, rows, w.w_up, f, &scratch->ffn_up, panel);
     float* pg = scratch->ffn_gate.data();
     const float* pu = scratch->ffn_up.data();
     for (size_t i = 0; i < rows * f; ++i) {
       pg[i] = pg[i] * Sigmoid(pg[i]) * pu[i];
     }
-    Project(scratch->ffn_gate, rows, w.w_down, d, &scratch->ffn_down);
+    Project(scratch->ffn_gate, rows, w.w_down, d, &scratch->ffn_down, panel);
   } else {
     // GELU MLP: down( gelu(up(x)) ).
-    Project(scratch->normed, rows, w.w_up, f, &scratch->ffn_up);
+    Project(scratch->normed, rows, w.w_up, f, &scratch->ffn_up, panel);
     float* pu = scratch->ffn_up.data();
     constexpr float kSqrt2OverPi = 0.7978845608028654f;
     for (size_t i = 0; i < rows * f; ++i) {
       const float x = pu[i];
       pu[i] = 0.5f * x * (1.0f + std::tanh(kSqrt2OverPi * (x + 0.044715f * x * x * x)));
     }
-    Project(scratch->ffn_up, rows, w.w_down, d, &scratch->ffn_down);
+    Project(scratch->ffn_up, rows, w.w_down, d, &scratch->ffn_down, panel);
   }
   {
     float* ph = hidden->data();

@@ -26,6 +26,7 @@ struct LayerScratch {
   Tensor ffn_gate;  // [rows, ffn] (decoder only; empty otherwise)
   Tensor ffn_down;  // [rows, hidden]
   Tensor scores;    // [seq, seq] attention score scratch (one head at a time)
+  Tensor panel;     // [1, PanelFloats(max(hidden, ffn, seq))] GEMM weight panel
 
   static LayerScratch Make(const ModelConfig& config, size_t max_rows, size_t seq_len,
                            MemoryTracker* tracker = &MemoryTracker::Global());

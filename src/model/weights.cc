@@ -5,7 +5,6 @@
 
 #include "src/common/check.h"
 #include "src/storage/blob_file.h"
-#include "src/tensor/ops.h"
 
 namespace prism {
 
@@ -41,19 +40,46 @@ size_t LayerBlobBytes(const ModelConfig& config, Precision precision) {
   return bytes + NormBytes(config);
 }
 
-void WeightView::MatMulTransB(const float* a, size_t m, float* c) const {
+WeightView WeightView::Encoded(Precision precision, const uint8_t* data, size_t rows,
+                               size_t cols, size_t group_size) {
+  WeightView view;
+  view.precision = precision;
+  view.rows = rows;
+  view.cols = cols;
   switch (precision) {
     case Precision::kFp32:
-      MatMulTransBRaw(a, m, cols, f32, rows, c);
+      view.f32 = Fp32MatrixView{reinterpret_cast<const float*>(data), rows, cols, cols, 1};
+      break;
+    case Precision::kFp16:
+      view.f16 = Fp16MatrixView{reinterpret_cast<const uint16_t*>(data), rows, cols};
+      break;
+    case Precision::kInt8:
+      view.i8 = Int8MatrixView{reinterpret_cast<const int8_t*>(data),
+                               reinterpret_cast<const float*>(data + rows * cols), rows, cols,
+                               group_size};
+      break;
+    case Precision::kW4:
+      view.q4 = QuantMatrixView{data, reinterpret_cast<const float*>(data + rows * cols / 2),
+                                rows, cols, group_size};
+      break;
+  }
+  return view;
+}
+
+void WeightView::MatMulTransB(const float* a, size_t m, float* c,
+                              std::span<float> panel) const {
+  switch (precision) {
+    case Precision::kFp32:
+      f32.MatMulTransB(a, m, c, panel);
       return;
     case Precision::kFp16:
-      f16.MatMulTransB(a, m, c);
+      f16.MatMulTransB(a, m, c, panel);
       return;
     case Precision::kInt8:
-      i8.MatMulTransB(a, m, c);
+      i8.MatMulTransB(a, m, c, panel);
       return;
     case Precision::kW4:
-      q4.MatMulTransB(a, m, c);
+      q4.MatMulTransB(a, m, c, panel);
       return;
   }
 }
@@ -96,27 +122,7 @@ AnyLayerView ParseAnyLayerBlob(const ModelConfig& config, std::span<const uint8_
   const uint8_t* p = blob.data();
   const size_t group = config.quant_group;
   auto take = [&](size_t rows, size_t cols) {
-    WeightView view;
-    view.precision = precision;
-    view.rows = rows;
-    view.cols = cols;
-    switch (precision) {
-      case Precision::kFp32:
-        view.f32 = reinterpret_cast<const float*>(p);
-        break;
-      case Precision::kFp16:
-        view.f16 = Fp16MatrixView{reinterpret_cast<const uint16_t*>(p), rows, cols};
-        break;
-      case Precision::kInt8:
-        view.i8 = Int8MatrixView{reinterpret_cast<const int8_t*>(p),
-                                 reinterpret_cast<const float*>(p + rows * cols), rows, cols,
-                                 group};
-        break;
-      case Precision::kW4:
-        view.q4 = QuantMatrixView{p, reinterpret_cast<const float*>(p + rows * cols / 2), rows,
-                                  cols, group};
-        break;
-    }
+    const WeightView view = WeightView::Encoded(precision, p, rows, cols, group);
     p += MatrixSpanBytes(precision, rows, cols, group);
     return view;
   };

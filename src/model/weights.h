@@ -40,19 +40,25 @@ inline size_t HeadBlobIndex(const ModelConfig& config) { return 1 + config.n_lay
 size_t LayerBlobBytes(const ModelConfig& config, Precision precision);
 
 // Non-owning view of one weight matrix at whatever precision its blob is
-// stored in, with a fused dequantising GEMM: the forward pass calls
-// MatMulTransB and never materialises fp32 weights for reduced tiers.
+// stored in. The forward pass calls MatMulTransB, which packs one 16-column
+// strip at a time into the caller's panel (dequantising reduced tiers) and
+// never materialises the whole matrix in fp32.
 struct WeightView {
   Precision precision = Precision::kFp32;
   size_t rows = 0;
   size_t cols = 0;
-  const float* f32 = nullptr;      // kFp32
+  Fp32MatrixView f32;              // kFp32
   Fp16MatrixView f16;              // kFp16
   Int8MatrixView i8;               // kInt8
   QuantMatrixView q4;              // kW4
 
-  // C[m, rows] = A[m, cols] · Wᵀ, dequantising on the fly for reduced tiers.
-  void MatMulTransB(const float* a, size_t m, float* c) const;
+  // View of a [rows, cols] matrix encoded at `precision` (EncodeMatrix
+  // layout, MatrixSpanBytes long) starting at `data`.
+  static WeightView Encoded(Precision precision, const uint8_t* data, size_t rows, size_t cols,
+                            size_t group_size);
+
+  // C[m, rows] = A[m, cols] · Wᵀ; `panel` holds PanelFloats(cols) floats.
+  void MatMulTransB(const float* a, size_t m, float* c, std::span<float> panel) const;
 };
 
 // Non-owning fp32 view into a layer blob (kept for fp32-only callers that

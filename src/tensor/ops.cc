@@ -4,70 +4,32 @@
 #include <cmath>
 #include <limits>
 
+#include "src/tensor/gemm.h"
+
 namespace prism {
 
 namespace {
-// Blocked kernel tile sizes, sized for L1-resident accumulation on one core.
-constexpr size_t kTileM = 8;
-constexpr size_t kTileN = 64;
+// C[m, n] = A[m, k] · bᵀ through the shared kernel, with a per-call panel
+// tracked as kScratch on the global tracker.
+void GemmWithScratchPanel(const Fp32MatrixView& b, const Tensor& a, Tensor* c) {
+  Tensor panel(1, PanelFloats(b.cols), MemCategory::kScratch);
+  PackedGemm(b, a.data(), a.cols(), a.rows(), c->data(), c->cols(), panel.flat());
+}
 }  // namespace
 
 void MatMul(const Tensor& a, const Tensor& b, Tensor* c) {
   PRISM_CHECK_EQ(a.cols(), b.rows());
   PRISM_CHECK_EQ(c->rows(), a.rows());
   PRISM_CHECK_EQ(c->cols(), b.cols());
-  const size_t m = a.rows();
-  const size_t k = a.cols();
-  const size_t n = b.cols();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c->data();
-  std::fill(pc, pc + m * n, 0.0f);
-  // i-k-j loop order keeps B rows streaming and C rows hot.
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    float* crow = pc + i * n;
-    for (size_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) {
-        continue;
-      }
-      const float* brow = pb + kk * n;
-      for (size_t j = 0; j < n; ++j) {
-        crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
-void MatMulTransBRaw(const float* a, size_t m, size_t k, const float* b, size_t n, float* c) {
-  // C[i,j] = dot(A row i, B row j); tiled so each A tile is reused across a
-  // strip of B rows.
-  for (size_t i0 = 0; i0 < m; i0 += kTileM) {
-    const size_t i1 = std::min(i0 + kTileM, m);
-    for (size_t j0 = 0; j0 < n; j0 += kTileN) {
-      const size_t j1 = std::min(j0 + kTileN, n);
-      for (size_t i = i0; i < i1; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n;
-        for (size_t j = j0; j < j1; ++j) {
-          const float* brow = b + j * k;
-          float acc = 0.0f;
-          for (size_t kk = 0; kk < k; ++kk) {
-            acc += arow[kk] * brow[kk];
-          }
-          crow[j] = acc;
-        }
-      }
-    }
-  }
+  // B[k, n] read as the [n, k] operand Bᵀ: element (j, kk) at kk * n + j.
+  GemmWithScratchPanel({b.data(), b.cols(), b.rows(), 1, b.cols()}, a, c);
 }
 
 void MatMulTransB(const Tensor& a, const Tensor& b, Tensor* c) {
   PRISM_CHECK_EQ(a.cols(), b.cols());
   PRISM_CHECK_EQ(c->rows(), a.rows());
   PRISM_CHECK_EQ(c->cols(), b.rows());
-  MatMulTransBRaw(a.data(), a.rows(), a.cols(), b.data(), b.rows(), c->data());
+  GemmWithScratchPanel({b.data(), b.rows(), b.cols(), b.cols(), 1}, a, c);
 }
 
 void AddInPlace(Tensor* y, const Tensor& x) {

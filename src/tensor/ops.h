@@ -13,13 +13,12 @@
 namespace prism {
 
 // C[m,n] = A[m,k] · B[k,n]. C must be pre-sized; contents are overwritten.
+// Both run the shared kernel of src/tensor/gemm.h with a per-call panel;
+// callers holding raw or quantised weights use its operand views directly.
 void MatMul(const Tensor& a, const Tensor& b, Tensor* c);
 
 // C[m,n] = A[m,k] · B[n,k]ᵀ (B given row-major as [n, k]).
 void MatMulTransB(const Tensor& a, const Tensor& b, Tensor* c);
-
-// Raw-pointer variant of MatMulTransB for callers holding weight blobs.
-void MatMulTransBRaw(const float* a, size_t m, size_t k, const float* b, size_t n, float* c);
 
 // y += x, elementwise. Shapes must match.
 void AddInPlace(Tensor* y, const Tensor& x);

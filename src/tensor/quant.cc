@@ -281,75 +281,54 @@ void QuantizedMatrix::Dequantize(float* out) const {
   }
 }
 
-void QuantMatrixView::MatMulTransB(const float* a, size_t m, float* c) const {
+// The packers below use exactly the dequantisation expressions of
+// DecodeMatrix / Dequantize, so the shared kernel sees the same fp32 weights.
+void QuantMatrixView::Pack(size_t j0, size_t width, float* panel) const {
   const size_t groups_per_row = cols / group_size;
-  // Dequantise one weight row at a time into a strip, then dot against every
-  // input row. Row reuse across m amortises the unpack cost.
-  std::vector<float> wrow(cols);
-  for (size_t j = 0; j < rows; ++j) {
+  for (size_t jj = 0; jj < width; ++jj) {
+    const size_t j = j0 + jj;
     for (size_t g = 0; g < groups_per_row; ++g) {
       const float scale = scales[j * groups_per_row + g];
       for (size_t i = 0; i < group_size; i += 2) {
         const uint8_t byte = packed[(j * cols + g * group_size + i) / 2];
-        wrow[g * group_size + i] = scale * static_cast<float>(static_cast<int>(byte & 0x0F) - 8);
-        wrow[g * group_size + i + 1] = scale * static_cast<float>(static_cast<int>(byte >> 4) - 8);
+        float* dst = panel + (g * group_size + i) * kPanelCols + jj;
+        dst[0] = scale * static_cast<float>(static_cast<int>(byte & 0x0F) - 8);
+        dst[kPanelCols] = scale * static_cast<float>(static_cast<int>(byte >> 4) - 8);
       }
-    }
-    for (size_t i = 0; i < m; ++i) {
-      const float* arow = a + i * cols;
-      float acc = 0.0f;
-      for (size_t k = 0; k < cols; ++k) {
-        acc += arow[k] * wrow[k];
-      }
-      c[i * rows + j] = acc;
     }
   }
+  ClearPanelTail(panel, cols, width);
 }
 
-void Int8MatrixView::MatMulTransB(const float* a, size_t m, float* c) const {
+void Int8MatrixView::Pack(size_t j0, size_t width, float* panel) const {
   const size_t groups_per_row = cols / group_size;
-  // Same strip pattern as the 4-bit kernel: unpack one weight row, dot it
-  // against every input row.
-  std::vector<float> wrow(cols);
-  for (size_t j = 0; j < rows; ++j) {
+  for (size_t jj = 0; jj < width; ++jj) {
+    const size_t j = j0 + jj;
     for (size_t g = 0; g < groups_per_row; ++g) {
       const float scale = scales[j * groups_per_row + g];
       for (size_t i = 0; i < group_size; ++i) {
-        wrow[g * group_size + i] =
+        panel[(g * group_size + i) * kPanelCols + jj] =
             scale * static_cast<float>(values[j * cols + g * group_size + i]);
       }
     }
-    for (size_t i = 0; i < m; ++i) {
-      const float* arow = a + i * cols;
-      float acc = 0.0f;
-      for (size_t k = 0; k < cols; ++k) {
-        acc += arow[k] * wrow[k];
-      }
-      c[i * rows + j] = acc;
-    }
   }
+  ClearPanelTail(panel, cols, width);
 }
 
-void Fp16MatrixView::MatMulTransB(const float* a, size_t m, float* c) const {
-  std::vector<float> wrow(cols);
-  for (size_t j = 0; j < rows; ++j) {
-    for (size_t k = 0; k < cols; ++k) {
-      wrow[k] = Fp16ToFp32(data[j * cols + k]);
-    }
-    for (size_t i = 0; i < m; ++i) {
-      const float* arow = a + i * cols;
-      float acc = 0.0f;
-      for (size_t k = 0; k < cols; ++k) {
-        acc += arow[k] * wrow[k];
-      }
-      c[i * rows + j] = acc;
+void Fp16MatrixView::Pack(size_t j0, size_t width, float* panel) const {
+  for (size_t jj = 0; jj < width; ++jj) {
+    const uint16_t* src = data + (j0 + jj) * cols;
+    for (size_t kk = 0; kk < cols; ++kk) {
+      panel[kk * kPanelCols + jj] = Fp16ToFp32(src[kk]);
     }
   }
+  ClearPanelTail(panel, cols, width);
 }
 
 void QuantizedMatrix::MatMulTransB(const float* a, size_t m, float* c) const {
-  QuantMatrixView view{packed_.data(), scales_.data(), rows_, cols_, group_size_};
-  view.MatMulTransB(a, m, c);
+  const QuantMatrixView view{packed_.data(), scales_.data(), rows_, cols_, group_size_};
+  Tensor panel(1, PanelFloats(cols_), MemCategory::kScratch);
+  view.MatMulTransB(a, m, c, panel.flat());
 }
 
 size_t QuantizedMatrix::SerializedSize() const {

@@ -1,8 +1,9 @@
 // Reduced-precision weight storage: the streaming precision tiers.
 //
 // The hot regime is SSD-bound, so bytes streamed per pass — not compute —
-// bound throughput. Three reduced tiers sit beside fp32, each with a fused
-// dequantising GEMM so the forward pass never materialises fp32 weights:
+// bound throughput. Three reduced tiers sit beside fp32, each with a
+// dequantising panel packer for the shared GEMM kernel (src/tensor/gemm.h),
+// so the forward pass never materialises a whole fp32 weight matrix:
 //
 //   w4    4-bit group-wise symmetric (the W4A16 baseline, §6.1): per group a
 //         float scale plus two signed 4-bit values per byte. 4× fewer bytes,
@@ -20,10 +21,12 @@
 #define PRISM_SRC_TENSOR_QUANT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/common/memory_tracker.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/tensor.h"
 
 namespace prism {
@@ -63,8 +66,13 @@ struct QuantMatrixView {
   size_t cols = 0;
   size_t group_size = 0;
 
-  // C[m, rows] = A[m, cols] · Wᵀ with on-the-fly dequantisation.
-  void MatMulTransB(const float* a, size_t m, float* c) const;
+  // Dequantises rows [j0, j0 + width) into a GEMM panel (see gemm.h).
+  void Pack(size_t j0, size_t width, float* panel) const;
+
+  // C[m, rows] = A[m, cols] · Wᵀ; `panel` holds PanelFloats(cols) floats.
+  void MatMulTransB(const float* a, size_t m, float* c, std::span<float> panel) const {
+    PackedGemm(*this, a, cols, m, c, rows, panel);
+  }
 
   // Bytes this view spans inside its blob.
   static size_t SpanBytes(size_t rows, size_t cols, size_t group_size) {
@@ -81,7 +89,11 @@ struct Int8MatrixView {
   size_t cols = 0;
   size_t group_size = 0;
 
-  void MatMulTransB(const float* a, size_t m, float* c) const;
+  void Pack(size_t j0, size_t width, float* panel) const;
+
+  void MatMulTransB(const float* a, size_t m, float* c, std::span<float> panel) const {
+    PackedGemm(*this, a, cols, m, c, rows, panel);
+  }
 
   static size_t SpanBytes(size_t rows, size_t cols, size_t group_size) {
     return rows * cols + rows * (cols / group_size) * sizeof(float);
@@ -94,7 +106,11 @@ struct Fp16MatrixView {
   size_t rows = 0;
   size_t cols = 0;
 
-  void MatMulTransB(const float* a, size_t m, float* c) const;
+  void Pack(size_t j0, size_t width, float* panel) const;
+
+  void MatMulTransB(const float* a, size_t m, float* c, std::span<float> panel) const {
+    PackedGemm(*this, a, cols, m, c, rows, panel);
+  }
 
   static size_t SpanBytes(size_t rows, size_t cols) { return rows * cols * sizeof(uint16_t); }
 };
@@ -128,7 +144,8 @@ class QuantizedMatrix {
   // Reconstructs the full matrix (for tests / error measurement).
   void Dequantize(float* out) const;
 
-  // C[m, rows] = A[m, cols] · Wᵀ with on-the-fly dequantisation.
+  // C[m, rows] = A[m, cols] · Wᵀ with on-the-fly dequantisation, through a
+  // per-call panel tracked as kScratch on the global tracker.
   void MatMulTransB(const float* a, size_t m, float* c) const;
 
   size_t rows() const { return rows_; }

@@ -6,7 +6,9 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/quant.h"
+#include "tests/gemm_reference.h"
 
 namespace prism {
 namespace {
@@ -125,8 +127,9 @@ TEST(QuantTest, ViewMatchesOwningMatrix) {
 
   std::vector<float> got_owning(m * rows);
   std::vector<float> got_view(m * rows);
+  std::vector<float> panel(PanelFloats(cols));
   qm.MatMulTransB(a.data(), m, got_owning.data());
-  view.MatMulTransB(a.data(), m, got_view.data());
+  view.MatMulTransB(a.data(), m, got_view.data(), panel);
   EXPECT_EQ(got_owning, got_view);
 }
 
@@ -204,7 +207,8 @@ TEST(Int8Test, MatMulMatchesDequantizedMatMul) {
   view.values = reinterpret_cast<const int8_t*>(encoded.data());
   view.scales = reinterpret_cast<const float*>(encoded.data() + rows * cols);
   std::vector<float> got(m * rows, 0.0f);
-  view.MatMulTransB(a.data(), m, got.data());
+  std::vector<float> panel(PanelFloats(cols));
+  view.MatMulTransB(a.data(), m, got.data(), panel);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got[i], expected[i], 1e-3f);
   }
@@ -312,7 +316,8 @@ TEST(Fp16Test, MatMulMatchesDecodedMatMul) {
   view.cols = cols;
   view.data = reinterpret_cast<const uint16_t*>(encoded.data());
   std::vector<float> got(m * rows, 0.0f);
-  view.MatMulTransB(a.data(), m, got.data());
+  std::vector<float> panel(PanelFloats(cols));
+  view.MatMulTransB(a.data(), m, got.data(), panel);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got[i], expected[i], 1e-3f);
   }
@@ -348,6 +353,79 @@ TEST(PrecisionTest, SpanBytesOrderingMatchesTiers) {
   EXPECT_EQ(f16, f32 / 2);
   EXPECT_LT(i8, f16);
   EXPECT_LT(w4, i8);
+}
+
+// --- Shared GEMM kernel, every tier --------------------------------------
+
+// Runs the kernel on an encoded [n, k] matrix through its tier's packer.
+void PackedGemmEncoded(Precision precision, const std::vector<uint8_t>& encoded, size_t n,
+                       size_t k, size_t group, const float* a, size_t m, float* c, size_t ldc,
+                       std::span<float> panel, gemm_internal::Isa isa) {
+  const uint8_t* p = encoded.data();
+  switch (precision) {
+    case Precision::kFp32:
+      PackedGemm(Fp32MatrixView{reinterpret_cast<const float*>(p), n, k, k, 1}, a, k, m, c, ldc,
+                 panel, isa);
+      return;
+    case Precision::kFp16:
+      PackedGemm(Fp16MatrixView{reinterpret_cast<const uint16_t*>(p), n, k}, a, k, m, c, ldc,
+                 panel, isa);
+      return;
+    case Precision::kInt8:
+      PackedGemm(Int8MatrixView{reinterpret_cast<const int8_t*>(p),
+                                reinterpret_cast<const float*>(p + n * k), n, k, group},
+                 a, k, m, c, ldc, panel, isa);
+      return;
+    case Precision::kW4:
+      PackedGemm(QuantMatrixView{p, reinterpret_cast<const float*>(p + n * k / 2), n, k, group},
+                 a, k, m, c, ldc, panel, isa);
+      return;
+  }
+}
+
+// Each tier's packer feeds the kernel exactly the weights DecodeMatrix
+// reconstructs, so the GEMM is bit-identical to the sequential-k scalar loop
+// over the decoded matrix, on every kernel instance, and leaves C's padding
+// columns untouched. Shapes cover ragged row tiles (m % 4 != 0), partial
+// strips (n % 16 != 0), n < 16, k = 1 (k = 2 for w4, whose groups pair
+// nibbles) and every zoo projection shape (hidden/ffn 96/288, 128/384,
+// 160/480, 104/312, both directions). Every n·k is a multiple of 8, as in
+// real layer blobs, so the fp32 scales after int8 and w4 values stay 4-byte
+// aligned.
+TEST(GemmKernelTest, EveryTierBitIdenticalToScalarLoopOverDecodedWeights) {
+  const std::vector<std::tuple<size_t, size_t, size_t>> shapes = {
+      {1, 8, 1},     {3, 24, 1},    {1, 8, 2},     {4, 16, 2},    {5, 17, 8},
+      {7, 10, 4},    {2, 33, 8},    {13, 15, 16},  {6, 96, 96},   {6, 288, 96},
+      {6, 96, 288},  {5, 128, 128}, {5, 384, 128}, {5, 128, 384}, {3, 160, 160},
+      {3, 480, 160}, {3, 160, 480}, {7, 104, 104}, {7, 312, 104}, {7, 104, 312}};
+  for (const auto& [m, n, k] : shapes) {
+    const size_t group = k % 8 == 0 ? 8 : (k % 2 == 0 ? 2 : 1);
+    const std::vector<float> w = RandomWeights(n * k, n * 1000 + k);
+    const std::vector<float> a = RandomWeights(m * k, m * 1000 + k, 1.0f);
+    std::vector<float> panel(PanelFloats(k));
+    for (const Precision precision : kAllPrecisions) {
+      if (precision == Precision::kW4 && group % 2 != 0) {
+        continue;
+      }
+      std::vector<uint8_t> encoded(MatrixSpanBytes(precision, n, k, group));
+      EncodeMatrix(precision, w.data(), n, k, group, encoded.data());
+      std::vector<float> decoded(n * k);
+      DecodeMatrix(precision, encoded.data(), n, k, group, decoded.data());
+      const size_t ldc = n + 3;
+      std::vector<float> want(m * ldc, -7.5f);
+      ScalarGemm(a.data(), k, m, n, k, [&](size_t j, size_t kk) { return decoded[j * k + kk]; },
+                 want.data(), ldc);
+      for (const auto isa : SupportedGemmIsas()) {
+        SCOPED_TRACE(::testing::Message() << m << "x" << n << "x" << k << " "
+                                          << PrecisionName(precision) << " "
+                                          << GemmIsaName(isa));
+        std::vector<float> got(m * ldc, -7.5f);
+        PackedGemmEncoded(precision, encoded, n, k, group, a.data(), m, got.data(), ldc, panel,
+                          isa);
+        ExpectSameBits(got, want);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "src/common/rng.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
+#include "tests/gemm_reference.h"
 
 namespace prism {
 namespace {
@@ -84,6 +89,72 @@ TEST(OpsTest, MatMulTransBMatchesNaive) {
   for (size_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(c.flat()[i], ref.flat()[i], 1e-4f);
   }
+}
+
+std::vector<float> RandomVector(size_t n, uint64_t seed) {
+  std::vector<float> v(n);
+  Rng rng(seed);
+  for (float& x : v) {
+    x = static_cast<float>(rng.NextGaussian());
+  }
+  return v;
+}
+
+// The attention shapes of LayerForward: QKᵀ reads one head's Q and K as
+// strided slices, PV reads Vᵀ with a column stride, and C is a strided slice.
+TEST(GemmKernelTest, StridedAttentionBitIdenticalToScalarLoop) {
+  for (const auto& [seq, dh, heads] : std::vector<std::tuple<size_t, size_t, size_t>>{
+           {16, 24, 4}, {37, 24, 4}, {64, 24, 4}, {64, 16, 8}, {64, 20, 8}, {64, 26, 4}}) {
+    const size_t d = dh * heads;
+    const size_t h = heads - 1;  // Last head: the slice ends at the row's end.
+    const std::vector<float> q = RandomVector(seq * d, seq + d);
+    const std::vector<float> k = RandomVector(seq * d, seq + d + 1);
+    const std::vector<float> v = RandomVector(seq * d, seq + d + 2);
+    const float* qh = q.data() + h * dh;
+    const float* kh = k.data() + h * dh;
+    const float* vh = v.data() + h * dh;
+    std::vector<float> scores_want(seq * seq);
+    ScalarGemm(qh, d, seq, seq, dh, [&](size_t j, size_t x) { return kh[j * d + x]; },
+               scores_want.data(), seq);
+    std::vector<float> ctx_want(seq * d, 3.25f);
+    ScalarGemm(scores_want.data(), seq, seq, dh, seq,
+               [&](size_t x, size_t j) { return vh[j * d + x]; }, ctx_want.data() + h * dh, d);
+    const Fp32MatrixView keys{kh, seq, dh, d, 1};
+    const Fp32MatrixView values_t{vh, dh, seq, 1, d};
+    std::vector<float> panel(PanelFloats(std::max(seq, dh)));
+    for (const auto isa : SupportedGemmIsas()) {
+      SCOPED_TRACE(::testing::Message() << "seq " << seq << " dh " << dh << " "
+                                        << GemmIsaName(isa));
+      std::vector<float> scores(seq * seq);
+      PackedGemm(keys, qh, d, seq, scores.data(), seq, panel, isa);
+      ExpectSameBits(scores, scores_want);
+      std::vector<float> ctx(seq * d, 3.25f);
+      PackedGemm(values_t, scores.data(), seq, seq, ctx.data() + h * dh, d, panel, isa);
+      ExpectSameBits(ctx, ctx_want);
+    }
+  }
+}
+
+// The Tensor entry points run the same kernel: bit-identical to the scalar
+// loop in both the Bᵀ and the plain B[k, n] orientation.
+TEST(GemmKernelTest, TensorMatMulsBitIdenticalToScalarLoop) {
+  MemoryTracker tracker;
+  const int64_t scratch_before = MemoryTracker::Global().CurrentBytes(MemCategory::kScratch);
+  const Tensor a = RandomTensor(7, 40, 7, &tracker);
+  const Tensor bt = RandomTensor(19, 40, 8, &tracker);  // [n, k]
+  const Tensor b = RandomTensor(40, 19, 9, &tracker);   // [k, n]
+  Tensor c(7, 19, MemCategory::kScratch, &tracker);
+  std::vector<float> want(7 * 19);
+  MatMulTransB(a, bt, &c);
+  ScalarGemm(a.data(), 40, 7, 19, 40, [&](size_t j, size_t kk) { return bt.at(j, kk); },
+             want.data(), 19);
+  ExpectSameBits({c.data(), c.data() + c.size()}, want);
+  MatMul(a, b, &c);
+  ScalarGemm(a.data(), 40, 7, 19, 40, [&](size_t j, size_t kk) { return b.at(kk, j); },
+             want.data(), 19);
+  ExpectSameBits({c.data(), c.data() + c.size()}, want);
+  // The per-call panel is tracked scratch, released on return.
+  EXPECT_EQ(MemoryTracker::Global().CurrentBytes(MemCategory::kScratch), scratch_before);
 }
 
 TEST(OpsTest, AddInPlace) {
