@@ -49,7 +49,6 @@
 #ifndef PRISM_SRC_CORE_SCHEDULER_H_
 #define PRISM_SRC_CORE_SCHEDULER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -61,7 +60,6 @@
 #include "src/common/annotations.h"
 #include "src/common/clock.h"
 #include "src/common/mutex.h"
-#include "src/common/striped.h"
 #include "src/common/thread_pool.h"
 #include "src/runtime/runner.h"
 
@@ -107,58 +105,38 @@ class SerialScheduler : public Scheduler {
 // contract: any number of producers may Push concurrently, but at most one
 // thread (the scheduler's dispatcher) calls the pop variants.
 //
-// By default producers stage through a bounded lock-free MPSC ring (Vyukov
-// bounded-queue slot-sequence scheme; cf. the CAS-ticket constructions of
-// Blelloch & Wei, PAPERS.md): a CAS on the enqueue cursor claims a slot,
-// and the claimed position *is* the admission ticket — so ticket order and
-// ring visibility order agree by construction, with no lock and no separate
-// ticket counter. The dispatcher drains the ring (stopping at the first
-// still-publishing slot, which preserves strict ticket-FIFO within a
-// priority class) into a consumer-private structure kept sorted
-// (priority desc, ticket asc); priority ordering, deadline shedding, and
-// the carousel's epoch tagging are therefore single-threaded and need no
-// lock at all. The queue mutex survives only for the two rare edges: the
-// sleep/wake handshake when the dispatcher idles, and producers waiting out
-// a full ring. With `lock_free = false` producers instead stage under the
-// mutex (the measured baseline for bench_contention); everything downstream
-// of staging is shared, so semantics are identical in both modes.
+// One mutex guards everything. A Push stamps its ticket and inserts straight
+// into the deque kept sorted (priority desc, ticket asc); a pop sheds expired
+// entries and takes the head of that deque under the same lock. A lock-free
+// staging ring was measured against this and did not beat it beyond run-to-run
+// noise even at 32 client threads: the whole serving hot path costs ~5 µs per
+// request beside tens of milliseconds of layer forwarding (see "Admission and
+// stats" in docs/ARCHITECTURE.md).
 //
-// Pushes never block (short of a full ring); PopBatch blocks until at least
-// one unexpired request is pending (or the queue is closed) and then drains
-// up to `max_batch` entries in (priority desc, ticket asc) order. Expired
-// entries are shed inside the pops: their promises are fulfilled with a
-// kDeadlineExceeded result and they never surface to the dispatcher. All
-// timestamps are clock milliseconds; all waits go through the clock's
-// condition variables, so SimClock determinism is preserved — ordering
-// decisions happen only in the dispatcher, after a yield to quiescence.
+// Pushes never wait for capacity; PopBatch blocks until at least one unexpired request is
+// pending (or the queue is closed) and then takes up to `max_batch` entries in
+// (priority desc, ticket asc) order. Expired entries are shed inside the pops:
+// their promises are fulfilled with a kDeadlineExceeded result and they never
+// surface to the dispatcher. All timestamps are clock milliseconds; all waits
+// go through the clock's condition variables, so SimClock determinism is
+// preserved — every pop yields to quiescence before it takes.
 class RequestQueue {
  public:
-  // `ring_capacity` (rounded up to a power of two) bounds the lock-free
-  // staging ring; a producer that finds it full waits on the clock seam
-  // until the dispatcher drains — deadline accounting keeps running, since
-  // admission stamps happen before staging.
-  explicit RequestQueue(Clock* clock = nullptr, bool lock_free = true,
-                        size_t ring_capacity = kDefaultRingCapacity);
-  ~RequestQueue();
+  explicit RequestQueue(Clock* clock = nullptr);
 
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
-
-  static constexpr size_t kDefaultRingCapacity = 1024;
 
   struct Pending {
     const RerankRequest* request = nullptr;
     std::promise<RerankResult> promise;
     uint64_t ticket = 0;
     int priority = 0;
-    // The caller's epoch counter (the CarouselScheduler's admission-boundary
-    // counter) as of the pop that first drained this entry out of staging.
-    // Only the dispatcher reads and bumps the epoch, and every pop drains
-    // all published staging before bumping, so "epoch at dispatch minus tag"
-    // counts exactly the admission events between this entry becoming
-    // visible and its dispatch — race-free without any producer-side
-    // snapshot.
-    uint64_t tag = 0;
+    // Admission events — pops that handed out a non-empty batch — from this
+    // entry's Push up to and including the pop that handed it out. Push and
+    // pop serialise on the queue mutex, so the count is exact: with free
+    // capacity it is always 1, and each pop that skips the entry adds 1.
+    uint64_t admission_wait = 0;
     double admitted_ms = 0.0;
     // Absolute expiry instant (clock ms); only meaningful when has_deadline.
     double deadline_at_ms = 0.0;
@@ -167,119 +145,55 @@ class RequestQueue {
     bool ExpiredAt(double now_ms) const { return has_deadline && now_ms >= deadline_at_ms; }
   };
 
-  // All pop variants share the epoch protocol: when `epoch` is non-null,
-  // entries are tagged with its current value as they drain out of staging,
-  // and a pop that returns a non-empty batch increments it. With free
-  // capacity, epoch-at-dispatch − tag == 1, always.
-
   std::future<RerankResult> Push(const RerankRequest& request);
-  std::vector<Pending> PopBatch(size_t max_batch, std::atomic<uint64_t>* epoch = nullptr);
+  std::vector<Pending> PopBatch(size_t max_batch);
 
   // Non-blocking PopBatch: sheds expired entries, then returns up to
   // `max_batch` pending requests — possibly none. Never waits on the queue
   // (it does yield to clock quiescence first, a no-op on the wall clock);
   // used by the carousel to admit whatever is queued at a cycle boundary.
-  std::vector<Pending> TryPopBatch(size_t max_batch, std::atomic<uint64_t>* epoch = nullptr);
+  std::vector<Pending> TryPopBatch(size_t max_batch);
 
   // PopBatch that gives up after `timeout_ms`: returns an empty batch when
   // no unexpired request arrived in time (or the queue closed). The
   // carousel's linger window — a drained pass waits warm for the next
   // arrival instead of tearing its prefetch pipeline down.
-  std::vector<Pending> PopBatchFor(size_t max_batch, double timeout_ms,
-                                   std::atomic<uint64_t>* epoch = nullptr);
+  std::vector<Pending> PopBatchFor(size_t max_batch, double timeout_ms);
 
   // Wakes PopBatch; subsequent pushes are rejected (CHECK). Entries still
-  // staged or ordered are drained by subsequent PopBatch calls.
+  // pending are drained by subsequent PopBatch calls.
   void Close();
 
-  // Entries pending (staged + ordered, not yet popped). Counter-derived and
-  // lock-free; momentarily stale against in-flight pushes, like any
-  // concurrent size.
+  // Entries pending (pushed, not yet popped or shed).
   size_t size() const;
 
   // Requests shed on an expired deadline so far.
   size_t shed_count() const;
 
  private:
-  // One ring slot (Vyukov scheme). seq == pos: free for the producer that
-  // claims position pos; seq == pos + 1: published, ready for the consumer;
-  // after consumption seq becomes pos + capacity (free for the next lap).
-  // The seq release-store publishes `item`; the consumer's acquire-load
-  // receives it.
-  struct alignas(kCacheLineBytes) Slot {
-    std::atomic<uint64_t> seq{0};
-    Pending item;
-  };
-
-  // Producer side: stamps and stages one entry, returns its future.
-  std::future<RerankResult> Stage(const RerankRequest& request);
-  // Consumer side: moves every published staged entry into ordered_, tagging
-  // each with `epoch`'s current value. DrainRing is the lock-free variant
-  // (dispatcher-private, no lock); DrainStagedLocked drains the mutexed
-  // baseline's staging deque and so requires mu_.
-  void DrainRing(const std::atomic<uint64_t>* epoch);
-  void DrainStagedLocked(const std::atomic<uint64_t>* epoch) PRISM_REQUIRES(mu_);
-  // One consumer pass shared by the pop variants: drain staging (under mu_
-  // in the mutexed baseline, whose lock-hold profile spans shed+take too),
-  // shed expired entries into *shed, take up to max_batch survivors, and
-  // bump the epoch on a non-empty batch.
-  std::vector<Pending> DrainPass(size_t max_batch, std::atomic<uint64_t>* epoch,
-                                 std::vector<Pending>* shed);
-  // Sorted insert into ordered_ (priority desc, ticket asc), scanning from
-  // the back — O(1) for the in-ticket-order drains both modes produce.
-  void InsertOrdered(Pending pending);
-  // Both operate on ordered_, consumer-private: move expired entries into
-  // `shed`, then up to `max_batch` survivors into the returned batch.
-  void ShedExpired(std::vector<Pending>* shed);
-  std::vector<Pending> Take(size_t max_batch);
-  // Fulfils shed promises.
-  void AnswerShed(std::vector<Pending> shed);
-  // True when the dispatcher has (or can drain) work: ordered_ is never
-  // consulted here because only the consumer calls this between drains.
-  bool HasStaged() const { return staged_count_.load(std::memory_order_seq_cst) > 0; }
+  // One pass shared by the pop variants: under mu_, shed expired entries and
+  // take up to max_batch survivors (a non-empty batch is an admission event);
+  // then answer the shed entries outside the lock.
+  std::vector<Pending> ShedAndTake(size_t max_batch);
 
   Clock* clock_;
-  const bool lock_free_;
-  std::unique_ptr<ClockCondVar> cv_;           // Dispatcher parks here.
-  std::unique_ptr<ClockCondVar> not_full_cv_;  // Producers park on a full ring.
-  mutable Mutex mu_;  // Sleep/wake handshake + mutex-mode staging only.
-
-  // --- Staging (producers → dispatcher). ---------------------------------
-  // Lock-free mode: the bounded ring. enqueue_pos_ is the CAS ticket
-  // cursor; dequeue_pos_ is consumer-private, mirrored into
-  // dequeue_published_ so full-ring producers can watch drain progress.
-  std::unique_ptr<Slot[]> ring_;
-  size_t ring_mask_ = 0;
-  std::atomic<uint64_t> enqueue_pos_{0};
-  uint64_t dequeue_pos_ = 0;
-  std::atomic<uint64_t> dequeue_published_{0};
-  // Mutex mode: staged under mu_; tickets still come from enqueue_pos_.
-  std::deque<Pending> staged_mutex_ PRISM_GUARDED_BY(mu_);
-  // Ring + mutex staging, published but not yet drained. seq_cst: pairs
-  // with dispatcher_sleeping_ / full_waiters_ in the two Dekker-style
-  // sleep/wake handshakes below.
-  std::atomic<size_t> staged_count_{0};
-  std::atomic<bool> dispatcher_sleeping_{false};
-  std::atomic<size_t> full_waiters_{0};
-
-  // --- Ordering (dispatcher-private; no synchronization). ----------------
-  // Kept sorted: priority descending, ticket ascending. Drain inserts from
-  // the back (staging arrives in ticket order), so the common
-  // single-priority case stays O(1) per entry.
-  std::deque<Pending> ordered_;
-  std::atomic<size_t> ordered_count_{0};  // Mirror of ordered_.size() for size().
-
-  std::atomic<size_t> shed_{0};
-  std::atomic<bool> closed_{false};
+  std::unique_ptr<ClockCondVar> cv_;  // Dispatcher parks here.
+  mutable Mutex mu_;
+  // Sorted: priority descending, ticket ascending. Push inserts from the
+  // back, so the common single-priority case stays O(1) per entry.
+  std::deque<Pending> pending_ PRISM_GUARDED_BY(mu_);
+  uint64_t next_ticket_ PRISM_GUARDED_BY(mu_) = 0;
+  // Admission events so far; Pending::admission_wait is measured against it.
+  uint64_t epoch_ PRISM_GUARDED_BY(mu_) = 0;
+  size_t shed_ PRISM_GUARDED_BY(mu_) = 0;
+  bool closed_ PRISM_GUARDED_BY(mu_) = false;
 };
 
 class BatchScheduler : public Scheduler {
  public:
   // `compute_threads` sizes the per-request fan-out pool (0 = one per core).
-  // `lock_free_admission` selects the queue's staging mode (see
-  // RequestQueue; false = the mutexed baseline).
   BatchScheduler(BatchRunner* runner, size_t max_inflight, size_t compute_threads = 0,
-                 Clock* clock = nullptr, bool lock_free_admission = true);
+                 Clock* clock = nullptr);
   ~BatchScheduler() override;
 
   BatchScheduler(const BatchScheduler&) = delete;
@@ -310,7 +224,7 @@ class CarouselScheduler : public Scheduler {
  public:
   // Progress counters, mainly for tests and benches. `max_boundary_wait` is
   // the most admission events any request saw between enqueue and
-  // admission, counted race-free through the queue's epoch protocol: with
+  // admission (RequestQueue::Pending::admission_wait): with
   // free capacity it is exactly 1 (a request enqueued mid-cycle is admitted
   // at the very next boundary), which is the "worst-case wait one cycle"
   // admission-latency guarantee; each capacity-bound skip adds 1.
@@ -328,8 +242,7 @@ class CarouselScheduler : public Scheduler {
   // loading — for new traffic before tearing down; arrivals inside the
   // window start on warm weights instead of a cold streamer.
   CarouselScheduler(BatchRunner* runner, size_t max_inflight, size_t compute_threads = 0,
-                    double linger_ms = 200.0, Clock* clock = nullptr,
-                    bool lock_free_admission = true);
+                    double linger_ms = 200.0, Clock* clock = nullptr);
   ~CarouselScheduler() override;
 
   CarouselScheduler(const CarouselScheduler&) = delete;
@@ -349,8 +262,8 @@ class CarouselScheduler : public Scheduler {
   };
 
   void DispatchLoop();
-  // Admits `batch` into `pass` at a layer-0 boundary, bumping the boundary
-  // counter and the admission stats.
+  // Admits `batch` into `pass` at a layer-0 boundary, updating the admission
+  // stats.
   void AdmitBoundary(CarouselPass* pass, std::vector<RequestQueue::Pending> batch,
                      std::vector<Resident>* residents);
 
@@ -360,10 +273,6 @@ class CarouselScheduler : public Scheduler {
   Clock* clock_;
   RequestQueue queue_;
   std::unique_ptr<ThreadPool> compute_pool_;
-  // Admission events so far — tagged onto each entry as the dispatcher
-  // drains it out of staging, and bumped by the pops that hand out batches
-  // (both on the dispatcher thread; see RequestQueue's epoch protocol).
-  std::atomic<uint64_t> boundary_seq_{0};
   mutable Mutex stats_mu_;
   Stats stats_ PRISM_GUARDED_BY(stats_mu_);
   std::thread dispatcher_;

@@ -55,12 +55,12 @@ WeightView WeightView::Encoded(Precision precision, const uint8_t* data, size_t 
       break;
     case Precision::kInt8:
       view.i8 = Int8MatrixView{reinterpret_cast<const int8_t*>(data),
-                               reinterpret_cast<const float*>(data + rows * cols), rows, cols,
+                               EncodedScales(precision, data, rows, cols), rows, cols,
                                group_size};
       break;
     case Precision::kW4:
-      view.q4 = QuantMatrixView{data, reinterpret_cast<const float*>(data + rows * cols / 2),
-                                rows, cols, group_size};
+      view.q4 = QuantMatrixView{data, EncodedScales(precision, data, rows, cols), rows, cols,
+                                group_size};
       break;
   }
   return view;

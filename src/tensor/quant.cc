@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -132,6 +133,14 @@ size_t MatrixSpanBytes(Precision precision, size_t rows, size_t cols, size_t gro
   return 0;
 }
 
+const float* EncodedScales(Precision precision, const uint8_t* data, size_t rows, size_t cols) {
+  PRISM_CHECK(precision == Precision::kInt8 || precision == Precision::kW4);
+  const uint8_t* scales = data + (precision == Precision::kInt8 ? rows * cols : rows * cols / 2);
+  PRISM_CHECK_MSG(reinterpret_cast<uintptr_t>(scales) % alignof(float) == 0,
+                  "quantised scales are not float-aligned: unsupported matrix shape");
+  return reinterpret_cast<const float*>(scales);
+}
+
 void EncodeMatrix(Precision precision, const float* w, size_t rows, size_t cols,
                   size_t group_size, uint8_t* out) {
   switch (precision) {
@@ -151,7 +160,8 @@ void EncodeMatrix(Precision precision, const float* w, size_t rows, size_t cols,
       PRISM_CHECK_EQ(cols % group_size, 0u);
       const size_t groups_per_row = cols / group_size;
       int8_t* values = reinterpret_cast<int8_t*>(out);
-      float* scales = reinterpret_cast<float*>(out + rows * cols);
+      // Cast back: `out` is writable, EncodedScales only locates and checks.
+      float* scales = const_cast<float*>(EncodedScales(precision, out, rows, cols));
       for (size_t r = 0; r < rows; ++r) {
         const float* wr = w + r * cols;
         for (size_t g = 0; g < groups_per_row; ++g) {
@@ -171,6 +181,7 @@ void EncodeMatrix(Precision precision, const float* w, size_t rows, size_t cols,
       return;
     }
     case Precision::kW4: {
+      EncodedScales(precision, out, rows, cols);  // Alignment CHECK only.
       MemoryTracker scratch;  // Encoding scratch should not hit any tracker.
       const QuantizedMatrix qm =
           QuantizedMatrix::Quantize(w, rows, cols, group_size, MemCategory::kScratch, &scratch);
@@ -197,7 +208,7 @@ void DecodeMatrix(Precision precision, const uint8_t* in, size_t rows, size_t co
     case Precision::kInt8: {
       const size_t groups_per_row = cols / group_size;
       const int8_t* values = reinterpret_cast<const int8_t*>(in);
-      const float* scales = reinterpret_cast<const float*>(in + rows * cols);
+      const float* scales = EncodedScales(precision, in, rows, cols);
       for (size_t r = 0; r < rows; ++r) {
         for (size_t g = 0; g < groups_per_row; ++g) {
           const float scale = scales[r * groups_per_row + g];
@@ -210,6 +221,7 @@ void DecodeMatrix(Precision precision, const uint8_t* in, size_t rows, size_t co
       return;
     }
     case Precision::kW4: {
+      EncodedScales(precision, in, rows, cols);  // Alignment CHECK only.
       MemoryTracker scratch;
       const QuantizedMatrix qm = QuantizedMatrix::Deserialize(in, rows, cols, group_size,
                                                               MemCategory::kScratch, &scratch);
@@ -220,7 +232,7 @@ void DecodeMatrix(Precision precision, const uint8_t* in, size_t rows, size_t co
 }
 
 float Int8MaxScale(const uint8_t* in, size_t rows, size_t cols, size_t group_size) {
-  const float* scales = reinterpret_cast<const float*>(in + rows * cols);
+  const float* scales = EncodedScales(Precision::kInt8, in, rows, cols);
   float max_scale = 0.0f;
   for (size_t i = 0; i < rows * (cols / group_size); ++i) {
     max_scale = std::max(max_scale, scales[i]);

@@ -128,6 +128,14 @@ void EncodeMatrix(Precision precision, const float* w, size_t rows, size_t cols,
 void DecodeMatrix(Precision precision, const uint8_t* in, size_t rows, size_t cols,
                   size_t group_size, float* out);
 
+// Start of the fp32 group scales inside an int8 or w4 encoding at `data`:
+// they follow the rows*cols int8 values, or the rows*cols/2 packed nibbles.
+// Scales are read and written through float*, so CHECK-fails when that
+// address is not float-aligned — a shape whose value bytes end off a 4-byte
+// boundary is unsupported and must fail loudly, not invoke undefined
+// behaviour.
+const float* EncodedScales(Precision precision, const uint8_t* data, size_t rows, size_t cols);
+
 // Largest per-group scale of an int8 encoding (roundtrip bound: scale/2).
 float Int8MaxScale(const uint8_t* in, size_t rows, size_t cols, size_t group_size);
 

@@ -5,7 +5,6 @@
 // TSan and concurrency-stress CI lanes.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -313,23 +312,34 @@ TEST(RequestQueueTryPopTest, NonBlockingPopShedsAndDrains) {
   EXPECT_TRUE(queue.TryPopBatch(2).empty());
 }
 
-TEST(RequestQueueTryPopTest, EpochTagsAtDrainAndBumpsThroughQueue) {
+TEST(RequestQueueTryPopTest, AdmissionWaitCountsNonEmptyPops) {
   RequestQueue queue;
   const ModelConfig config = TestModel();
   const RerankRequest request = TestRequest(config, 8, 2);
-  std::atomic<uint64_t> epoch{41};
-  auto future = queue.Push(request);
-  // Empty pops are not admission events: no bump (but the entry drains out
-  // of staging here, picking up its tag).
-  EXPECT_TRUE(queue.TryPopBatch(0, &epoch).empty());
-  EXPECT_EQ(epoch.load(), 41u);
-  std::vector<RequestQueue::Pending> batch = queue.TryPopBatch(1, &epoch);
+  auto first = queue.Push(request);
+  auto second = queue.Push(request);
+  // Empty pops are not admission events.
+  EXPECT_TRUE(queue.TryPopBatch(0).empty());
+  std::vector<RequestQueue::Pending> batch = queue.TryPopBatch(1);
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].tag, 41u);     // Tagged at drain...
-  EXPECT_EQ(epoch.load(), 42u);     // ...bumped by the non-empty pop.
-  EXPECT_EQ(epoch.load() - batch[0].tag, 1u);  // Exactly one admission event.
+  EXPECT_EQ(batch[0].ticket, 0u);
+  EXPECT_EQ(batch[0].admission_wait, 1u);  // Taken by the first admission event.
   batch[0].promise.set_value(RerankResult{});
-  future.get();
+  // The second entry was skipped by that event and taken by the next.
+  batch = queue.TryPopBatch(1);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].ticket, 1u);
+  EXPECT_EQ(batch[0].admission_wait, 2u);
+  batch[0].promise.set_value(RerankResult{});
+  // A push after both events counts from there, not from queue start.
+  auto third = queue.Push(request);
+  batch = queue.TryPopBatch(1);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].admission_wait, 1u);
+  batch[0].promise.set_value(RerankResult{});
+  first.get();
+  second.get();
+  third.get();
 }
 
 }  // namespace

@@ -231,6 +231,19 @@ TEST(Int8Test, ZeroMatrixRoundTripsToZero) {
   }
 }
 
+TEST(QuantDeathTest, MisalignedScalesFailLoudly) {
+  // A 1x2 matrix ends its int8 values (2 bytes) and its w4 nibbles (1 byte)
+  // off a float boundary, so its scales cannot be addressed as float*.
+  // Re-exec instead of fork: safe however many threads the binary started.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<float> w = {0.5f, -0.25f};
+  for (const Precision precision : {Precision::kInt8, Precision::kW4}) {
+    std::vector<uint8_t> encoded(MatrixSpanBytes(precision, 1, 2, 2));
+    EXPECT_DEATH(EncodeMatrix(precision, w.data(), 1, 2, 2, encoded.data()), "float-aligned")
+        << PrecisionName(precision);
+  }
+}
+
 // --- fp16 tier ------------------------------------------------------------
 
 TEST(Fp16Test, ExactValuesRoundTripExactly) {

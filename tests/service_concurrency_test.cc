@@ -4,6 +4,7 @@
 // path. This binary is also the main ThreadSanitizer target in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -142,16 +143,15 @@ TEST(RequestQueueTest, ExpiredEntriesAreShedWithErrorResult) {
 // (priority desc, ticket asc); within a priority class tickets dispatch
 // in strictly increasing (FIFO) order across the whole run; every future
 // resolves — served requests with OK, shed requests with
-// kDeadlineExceeded; nothing is lost or double-delivered. Both staging
-// modes must uphold the identical contract.
-void SixteenThreadStress(bool lock_free, size_t ring_capacity) {
+// kDeadlineExceeded; nothing is lost or double-delivered.
+TEST(RequestQueueTest, SixteenThreadStressKeepsPriorityThenFifoSemantics) {
   constexpr size_t kThreads = 16;
   constexpr size_t kPerThread = 8;
   constexpr size_t kTotal = kThreads * kPerThread;
   const ModelConfig config = TestModel();
   const RerankRequest base = TestRequest(config, 8, 2);
 
-  RequestQueue queue(/*clock=*/nullptr, lock_free, ring_capacity);
+  RequestQueue queue;
   std::atomic<size_t> served{0};
   std::map<int, std::vector<uint64_t>> popped_by_priority;
   std::thread consumer([&] {
@@ -228,21 +228,6 @@ void SixteenThreadStress(bool lock_free, size_t ring_capacity) {
     total_popped += tickets.size();
   }
   EXPECT_EQ(total_popped, ok_seen.load());
-}
-
-TEST(RequestQueueTest, SixteenThreadStressKeepsPriorityThenFifoSemantics) {
-  SixteenThreadStress(/*lock_free=*/true, RequestQueue::kDefaultRingCapacity);
-}
-
-TEST(RequestQueueTest, SixteenThreadStressMutexModeIsEquivalent) {
-  SixteenThreadStress(/*lock_free=*/false, RequestQueue::kDefaultRingCapacity);
-}
-
-TEST(RequestQueueTest, SixteenThreadStressSurvivesTinyRingBackpressure) {
-  // An 8-slot ring against 16 producers: staging overflows constantly, so
-  // producers exercise the full-ring park/wake path while the contract
-  // stays intact.
-  SixteenThreadStress(/*lock_free=*/true, /*ring_capacity=*/8);
 }
 
 TEST(RequestQueueTest, CloseDrainsThenReturnsEmpty) {
@@ -440,8 +425,8 @@ TEST_F(ServiceConcurrencyTest, CarouselServiceMatchesSerialBitIdentically) {
 
 // Admission latency: a request that arrives while the carousel is busy is
 // admitted at the next layer-0 boundary — it waits at most one cycle
-// interval, not a full pass. Measured in boundary units (admission-event
-// counts through the queue's race-free epoch protocol), so the assertion is
+// interval, not a full pass. Measured in boundary units (each entry's
+// RequestQueue::Pending::admission_wait), so the assertion is
 // immune to wall-clock noise: with free capacity every request sees exactly
 // one admission event between enqueue and admission.
 TEST_F(ServiceConcurrencyTest, CarouselAdmitsWithinOneCycleBoundary) {
@@ -497,6 +482,137 @@ TEST_F(ServiceConcurrencyTest, StatsAggregateUnderConcurrency) {
   EXPECT_GT(stats.P50LatencyMs(), 0.0);
   EXPECT_GE(stats.P99LatencyMs(), stats.P50LatencyMs());
   EXPECT_GT(stats.total_candidates, 0);
+}
+
+// Answers by script instead of by engine: a request's candidate count picks
+// its outcome (1 = shed, 2 = IoError, anything else = served), so a
+// service's stats can be checked against an exact plan.
+class ScriptedRunner : public BatchRunner {
+ public:
+  static constexpr int64_t kServedBytes = 100;
+  static constexpr int64_t kFailedBytes = 7;
+  static constexpr int64_t kServedCandidateLayers = 2;
+
+  RerankResult Rerank(const RerankRequest& request) override {
+    if (request.docs.size() == 1) {
+      return MakeShedResult(/*deadline_ms=*/5.0, /*waited_ms=*/6.0);
+    }
+    RerankResult result;
+    if (request.docs.size() == 2) {
+      result.status = Status::IoError("injected");
+      result.stats.bytes_streamed = kFailedBytes;
+      return result;
+    }
+    result.stats.candidate_layers = kServedCandidateLayers;
+    result.stats.bytes_streamed = kServedBytes;
+    return result;
+  }
+
+  std::vector<RerankResult> RerankBatch(std::span<const RerankRequest* const> requests,
+                                        ThreadPool* /*compute_pool*/) override {
+    std::vector<RerankResult> results;
+    results.reserve(requests.size());
+    for (const RerankRequest* request : requests) {
+      results.push_back(Rerank(*request));
+    }
+    return results;
+  }
+
+  std::string name() const override { return "scripted"; }
+};
+
+// `n_threads` clients drive a batching RerankService over a ScriptedRunner
+// with a fixed ok/shed/IoError mix while a reader snapshots stats()
+// continuously. Every snapshot must be self-consistent (an observation is
+// recorded whole under the stats mutex, never torn), and the final one must
+// balance exactly to the per-thread plan.
+void ServiceStatsBalance(const ModelConfig& config, const std::string& ckpt, size_t n_threads) {
+  constexpr size_t kPerThread = 500;
+  constexpr size_t kServedDocs = 3;
+  ScriptedRunner runner;
+  MemoryTracker tracker;
+  ServiceOptions options;
+  options.engine.device = FastDevice();
+  options.scheduler = SchedulerKind::kBatch;
+  options.max_inflight = 4;
+  options.compute_threads = 1;
+  options.runner_override = &runner;
+  RerankService service(config, ckpt, options, &tracker);
+
+  // Outcome of a client's i-th request, encoded as its candidate count.
+  const auto docs_for = [](size_t i) -> size_t {
+    if (i % 7 == 0) {
+      return 1;  // Shed.
+    }
+    if (i % 11 == 0) {
+      return 2;  // IoError.
+    }
+    return kServedDocs;
+  };
+
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const ServiceStats snapshot = service.stats();
+      ASSERT_EQ(snapshot.shed + snapshot.errors + snapshot.served(), snapshot.requests);
+      ASSERT_EQ(snapshot.latency_observed, snapshot.served());
+      ASSERT_EQ(snapshot.total_candidates,
+                static_cast<int64_t>(snapshot.served() * kServedDocs));
+      std::this_thread::yield();
+    }
+  });
+
+  std::vector<std::thread> clients;
+  clients.reserve(n_threads);
+  for (size_t t = 0; t < n_threads; ++t) {
+    clients.emplace_back([&] {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        RerankRequest request;
+        request.docs.resize(docs_for(i));
+        service.Rerank(request);
+      }
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  size_t shed_per_thread = 0;
+  size_t errors_per_thread = 0;
+  for (size_t i = 0; i < kPerThread; ++i) {
+    shed_per_thread += docs_for(i) == 1 ? 1 : 0;
+    errors_per_thread += docs_for(i) == 2 ? 1 : 0;
+  }
+  const size_t served_per_thread = kPerThread - shed_per_thread - errors_per_thread;
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, n_threads * kPerThread);
+  EXPECT_EQ(stats.shed, n_threads * shed_per_thread);
+  EXPECT_EQ(stats.errors, n_threads * errors_per_thread);
+  EXPECT_EQ(stats.served(), n_threads * served_per_thread);
+  EXPECT_EQ(stats.latency_observed, n_threads * served_per_thread);
+  EXPECT_EQ(stats.latency_samples.size(),
+            std::min(stats.latency_observed, ServiceStats::kDefaultLatencySampleCapacity));
+  EXPECT_EQ(stats.total_candidates,
+            static_cast<int64_t>(n_threads * served_per_thread * kServedDocs));
+  EXPECT_EQ(stats.total_candidate_layers,
+            static_cast<int64_t>(n_threads * served_per_thread) *
+                ScriptedRunner::kServedCandidateLayers);
+  EXPECT_EQ(stats.bytes_streamed,
+            static_cast<int64_t>(n_threads * served_per_thread) * ScriptedRunner::kServedBytes +
+                static_cast<int64_t>(n_threads * errors_per_thread) *
+                    ScriptedRunner::kFailedBytes);
+  EXPECT_GE(stats.max_latency_ms, stats.MeanLatencyMs());
+}
+
+TEST_F(ServiceConcurrencyTest, EightThreadStatsBalance) {
+  ServiceStatsBalance(config_, ckpt_, 8);
+}
+
+TEST_F(ServiceConcurrencyTest, ThirtyTwoThreadStatsBalance) {
+  ServiceStatsBalance(config_, ckpt_, 32);
 }
 
 TEST_F(ServiceConcurrencyTest, ThresholdNudgesAreSafeWhileServing) {
@@ -611,92 +727,6 @@ TEST(ServiceStatsTest, ReservoirIsDeterministicForFixedObservationOrder) {
   }
   EXPECT_EQ(a.latency_samples, b.latency_samples);
 }
-
-// Hammer a ConcurrentServiceStats from `n_threads` writers while a reader
-// snapshots continuously, then check the final fold balances to the exact
-// per-thread plan. Latencies are small integers so the CAS-looped double
-// adds must sum exactly regardless of interleaving order.
-void StripedStatsStress(size_t n_threads) {
-  ConcurrentServiceStats stats;
-  constexpr size_t kPerThread = 2000;
-  RerankRequest request;
-  request.docs.resize(3);
-
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      // Mid-flight folds may tear between a stripe's counters; they must
-      // stay internally sane (clamped served, no wrapped rates), never
-      // crash or report more served than admitted.
-      const ServiceStats snapshot = stats.Snapshot();
-      ASSERT_LE(snapshot.served(), snapshot.requests);
-      ASSERT_GE(snapshot.MeanLatencyMs(), 0.0);
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::thread> writers;
-  writers.reserve(n_threads);
-  for (size_t t = 0; t < n_threads; ++t) {
-    writers.emplace_back([&] {
-      for (size_t i = 0; i < kPerThread; ++i) {
-        if (i % 7 == 0) {
-          stats.Observe(request, MakeShedResult(/*deadline_ms=*/5.0, /*waited_ms=*/6.0), 0.01);
-        } else if (i % 11 == 0) {
-          RerankResult failed;
-          failed.status = Status::IoError("injected");
-          stats.Observe(request, failed, 0.02);
-        } else {
-          RerankResult ok;
-          ok.stats.candidate_layers = 2;
-          stats.Observe(request, ok, static_cast<double>(i % 100 + 1));
-        }
-      }
-    });
-  }
-  for (std::thread& writer : writers) {
-    writer.join();
-  }
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
-
-  size_t shed_per_thread = 0;
-  size_t errors_per_thread = 0;
-  double latency_per_thread = 0.0;
-  for (size_t i = 0; i < kPerThread; ++i) {
-    if (i % 7 == 0) {
-      ++shed_per_thread;
-    } else if (i % 11 == 0) {
-      ++errors_per_thread;
-    } else {
-      latency_per_thread += static_cast<double>(i % 100 + 1);
-    }
-  }
-  const size_t served_per_thread = kPerThread - shed_per_thread - errors_per_thread;
-
-  const ServiceStats snapshot = stats.Snapshot();
-  EXPECT_EQ(snapshot.requests, n_threads * kPerThread);
-  EXPECT_EQ(snapshot.shed, n_threads * shed_per_thread);
-  EXPECT_EQ(snapshot.errors, n_threads * errors_per_thread);
-  EXPECT_EQ(snapshot.served(), n_threads * served_per_thread);
-  EXPECT_EQ(snapshot.latency_observed, n_threads * served_per_thread);
-  EXPECT_DOUBLE_EQ(snapshot.total_latency_ms,
-                   static_cast<double>(n_threads) * latency_per_thread);
-  EXPECT_DOUBLE_EQ(snapshot.max_latency_ms, 100.0);
-  EXPECT_EQ(snapshot.total_candidates,
-            static_cast<int64_t>(n_threads * served_per_thread * 3));
-  EXPECT_EQ(snapshot.total_candidate_layers,
-            static_cast<int64_t>(n_threads * served_per_thread * 2));
-  // Percentiles come from the weighted stripe fold; every sample is a real
-  // served latency in [1, 100].
-  EXPECT_GE(snapshot.P50LatencyMs(), 1.0);
-  EXPECT_LE(snapshot.P99LatencyMs(), 100.0);
-  EXPECT_FALSE(snapshot.latency_samples.empty());
-}
-
-TEST(ConcurrentServiceStatsTest, EightThreadCountersBalance) { StripedStatsStress(8); }
-
-TEST(ConcurrentServiceStatsTest, ThirtyTwoThreadCountersBalance) { StripedStatsStress(32); }
 
 // A runner that just sleeps: lets the shed tests hold a scheduler busy for
 // a known duration without an engine.

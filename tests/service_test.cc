@@ -250,9 +250,8 @@ TEST(ServiceStatsMergeTest, EqualWeightMergeConcatenatesExactly) {
 }
 
 TEST(ServiceStatsTest, ServedClampsTornSnapshots) {
-  // A stripe fold can tear between an in-flight observation's `requests`
-  // and `shed` increments, momentarily showing shed + errors > requests.
-  // The unsigned subtraction must clamp to 0, not wrap to ~2^64 (which
+  // An inconsistent snapshot can show shed + errors > requests. The
+  // unsigned subtraction must clamp to 0, not wrap to ~2^64 (which
   // poisoned MeanLatencyMs and every served()-derived rate).
   ServiceStats torn;
   torn.requests = 5;

@@ -3,9 +3,13 @@
 // preserved), must satisfy PRISM's core guarantees end to end.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/core/engine.h"
 #include "src/data/metrics.h"
 #include "src/model/layer.h"
+#include "src/model/weights.h"
 #include "tests/test_util.h"
 
 namespace prism {
@@ -83,6 +87,34 @@ TEST_P(ZooPropertyTest, QuantizedEngineAgreesWithF32) {
   const RerankResult rb = b.Rerank(request);
   for (size_t i = 0; i < ra.scores.size(); ++i) {
     EXPECT_NEAR(ra.scores[i], rb.scores[i], 0.2f) << config.name << " candidate " << i;
+  }
+}
+
+bool FloatAligned(const void* p) { return reinterpret_cast<uintptr_t>(p) % alignof(float) == 0; }
+
+// Int8 and w4 matrices keep their fp32 scales right after the value bytes,
+// read through float*. Every shape the zoo serves — at full size and in
+// miniature — must put each matrix's scales (and the trailing norms) on a
+// float boundary; parsing CHECK-fails otherwise.
+TEST_P(ZooPropertyTest, QuantizedLayerViewsHaveAlignedScales) {
+  const ModelConfig full = ModelZoo()[GetParam()];
+  for (const ModelConfig& config : {full, Miniature(full)}) {
+    for (const Precision precision : {Precision::kInt8, Precision::kW4}) {
+      SCOPED_TRACE(config.name + " " + PrecisionName(precision));
+      const std::vector<uint8_t> blob(LayerBlobBytes(config, precision));
+      const AnyLayerView view = ParseAnyLayerBlob(config, blob, precision);
+      std::vector<const WeightView*> matrices = {&view.wq, &view.wk, &view.wv,
+                                                 &view.wo, &view.w_up, &view.w_down};
+      if (config.arch == ModelArch::kDecoderOnly) {
+        matrices.push_back(&view.w_gate);
+      }
+      for (const WeightView* matrix : matrices) {
+        const float* scales =
+            precision == Precision::kInt8 ? matrix->i8.scales : matrix->q4.scales;
+        EXPECT_TRUE(FloatAligned(scales)) << matrix->rows << "x" << matrix->cols;
+      }
+      EXPECT_TRUE(FloatAligned(view.norm1_gain.data()));
+    }
   }
 }
 
