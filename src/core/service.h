@@ -119,6 +119,7 @@ struct ServiceStats {
   // Embedding-cache counters (snapshot-filled by RerankService::stats()
   // from the engine's cache; all zero when no cache, or when the cache is
   // pool-shared — the pool then adds the shared cache's counters once).
+  // They count unique rows per request gather, not token positions.
   int64_t embed_hits = 0;
   int64_t embed_misses = 0;
   int64_t embed_miss_bytes = 0;

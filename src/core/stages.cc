@@ -111,27 +111,28 @@ void EmbedStage::Run(RequestContext* ctx) const {
   const RerankRequest& request = *ctx->request;
   const size_t n = ctx->n();
   const size_t seq_len = ctx->seq_len;
-  // Build all pair inputs first so the cache can batch-load the request's
-  // unique missing tokens in one device read (§4.5).
   ctx->pairs.reserve(n);
-  std::vector<uint32_t> all_tokens;
   for (size_t id = 0; id < n; ++id) {
     ctx->pairs.push_back(BuildPairInput(config, request.query, request.docs[id],
                                         request.planted_r[id], seq_len));
-    all_tokens.insert(all_tokens.end(), ctx->pairs.back().tokens.begin(),
-                      ctx->pairs.back().tokens.end());
   }
+  // Every row the request needs, in one gather: the cache's misses arrive
+  // in a single device read (§4.5). The table is freed when this returns,
+  // before the layer loop claims its weight buffers.
+  const RowTable rows = GatherPairRows(res_.embedding, ctx->pairs);
   if (res_.cache != nullptr) {
-    res_.cache->PrefetchTokens(all_tokens);
+    ctx->result.stats.embed_cache_hit_rate = rows.stats().HitRate();
   }
   for (size_t ci = 0; ci < ctx->chunks.size(); ++ci) {
     ChunkState& chunk = ctx->chunks[ci];
+    // Nothing is pruned yet, so each chunk holds consecutive candidates.
+    const size_t first = chunk.ids.front();
+    PRISM_CHECK_EQ(chunk.ids.back() - first + 1, chunk.ids.size());
     Tensor hidden(chunk.ids.size() * seq_len, config.hidden, MemCategory::kHiddenStates,
                   res_.tracker);
-    for (size_t c = 0; c < chunk.ids.size(); ++c) {
-      EmbedPairInto(config, res_.embedding, *res_.head, ctx->pairs[chunk.ids[c]], c, seq_len,
-                    &hidden);
-    }
+    EmbedPairsInto(config, rows, *res_.head,
+                   std::span<const PairInput>(ctx->pairs).subspan(first, chunk.ids.size()),
+                   seq_len, &hidden);
     StowChunkHidden(res_, ctx, ci, std::move(hidden), /*more_layers=*/true);
   }
   ctx->result.stats.embed_ms = embed_timer.ElapsedMillis();
@@ -269,9 +270,6 @@ void PruneStage::Finalize(RequestContext* ctx) const {
     ctx->result.topk.push_back(id);
   }
 
-  if (res_.cache != nullptr) {
-    ctx->result.stats.embed_cache_hit_rate = res_.cache->stats().HitRate();
-  }
   ctx->result.stats.latency_ms = ctx->timer.ElapsedMillis();
 }
 

@@ -201,9 +201,10 @@ class ChunkPlanner {
   StageResources res_;
 };
 
-// Stage 2 — embedding. Builds every pair input first so the embedding cache
-// can batch-load the request's unique missing tokens in one device read
-// (§4.5), then embeds each chunk and stows it.
+// Stage 2 — embedding. Builds every pair input, gathers the request's rows
+// in one call (the cache reads all of its misses in one device read, §4.5,
+// and reports the request's own hit rate), then embeds each chunk and stows
+// it.
 class EmbedStage {
  public:
   explicit EmbedStage(const StageResources& res) : res_(res) {}

@@ -3,8 +3,9 @@
 // §4.4 of the paper: after layer streaming, the embedding table dominates the
 // remaining memory footprint, but its activation is highly sparse (a 20×512
 // request touches ≤ 6.75% of the vocabulary) and Zipf-skewed. EmbeddingCache
-// keeps only `capacity_rows` rows in memory (LRU) and reads misses row-by-row
-// from the checkpoint through the simulated SSD.
+// keeps only `capacity_rows` rows in memory (LRU); §4.5: a request's missing
+// rows arrive in one batched device read. Every consumer therefore asks for
+// a request's rows in a single Gather call.
 #ifndef PRISM_SRC_MODEL_EMBEDDING_H_
 #define PRISM_SRC_MODEL_EMBEDDING_H_
 
@@ -22,32 +23,9 @@
 
 namespace prism {
 
-// Common interface so runners can swap the resident table for the cache.
-class EmbeddingSource {
- public:
-  virtual ~EmbeddingSource() = default;
-  // Copies the embedding row for `token` into `dest` (size == hidden).
-  virtual void Lookup(uint32_t token, std::span<float> dest) = 0;
-  virtual int64_t ResidentBytes() const = 0;
-};
-
-// Loads blob 0 fully into memory (the baseline runners' behaviour).
-class FullEmbeddingTable : public EmbeddingSource {
- public:
-  FullEmbeddingTable(const ModelConfig& config, BlobFileReader* reader,
-                     MemoryTracker* tracker = &MemoryTracker::Global());
-
-  void Lookup(uint32_t token, std::span<float> dest) override;
-  int64_t ResidentBytes() const override;
-
-  std::span<const float> Row(uint32_t token) const;
-
- private:
-  ModelConfig config_;
-  std::vector<float> table_;
-  MemClaim claim_;
-};
-
+// Cache counters. A gather counts each unique row it needs once — a hit
+// when the row was resident, a miss when it came from the device — however
+// many token positions name it.
 struct EmbeddingCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
@@ -59,12 +37,73 @@ struct EmbeddingCacheStats {
   }
 };
 
-// LRU row cache over the on-disk embedding blob (§4.4). Misses trigger a
-// synchronous row-granular read through the simulated device.
+// The rows one gather returned: the sorted unique token ids and, for each,
+// its `hidden` floats. Rows either point into a resident table (no copy) or
+// into one contiguous buffer the table owns and charges to the tracker until
+// it is destroyed — under kScratch, as a per-request staging buffer, so
+// kEmbedding stays the §4.4 budget (table or cache capacity). Movable; row
+// pointers survive the move.
+class RowTable {
+ public:
+  // The row of `token`, which must be one of the gathered tokens.
+  std::span<const float> Row(uint32_t token) const;
+  const std::vector<uint32_t>& tokens() const { return tokens_; }
+  // This gather's own counters (all hits for a resident table).
+  const EmbeddingCacheStats& stats() const { return stats_; }
+
+ private:
+  friend class FullEmbeddingTable;
+  friend class EmbeddingCache;
+
+  // Sorts and dedups `tokens` into tokens_, checking each is below `vocab`.
+  RowTable(std::span<const uint32_t> tokens, size_t hidden, size_t vocab);
+
+  size_t hidden_ = 0;
+  std::vector<uint32_t> tokens_;    // Sorted, unique.
+  std::vector<const float*> rows_;  // rows_[i] is tokens_[i]'s row.
+  std::vector<float> storage_;      // Owned copies; empty over a resident table.
+  MemClaim claim_;                  // Charges storage_.
+  EmbeddingCacheStats stats_;
+};
+
+// Common interface so runners can swap the resident table for the cache.
+class EmbeddingSource {
+ public:
+  virtual ~EmbeddingSource() = default;
+  // Every row `tokens` names (duplicates allowed, any order), in one call.
+  virtual RowTable Gather(std::span<const uint32_t> tokens) = 0;
+  virtual int64_t ResidentBytes() const = 0;
+
+  // Single-token convenience over Gather: copies `token`'s row into `dest`
+  // (size == hidden).
+  void Lookup(uint32_t token, std::span<float> dest);
+};
+
+// Loads blob 0 fully into memory (the baseline runners' behaviour).
+class FullEmbeddingTable : public EmbeddingSource {
+ public:
+  FullEmbeddingTable(const ModelConfig& config, BlobFileReader* reader,
+                     MemoryTracker* tracker = &MemoryTracker::Global());
+
+  // Points into the resident table; copies nothing and claims no memory.
+  RowTable Gather(std::span<const uint32_t> tokens) override;
+  int64_t ResidentBytes() const override;
+
+  std::span<const float> Row(uint32_t token) const;
+
+ private:
+  ModelConfig config_;
+  std::vector<float> table_;
+  MemClaim claim_;
+};
+
+// LRU row cache over the on-disk embedding blob (§4.4). A gather copies
+// its hits out and reads all of its misses in one scattered device read
+// (§4.5), so a request pays the device latency at most once.
 //
 // Thread-safe: the cache is shared by every request in flight through the
 // engine, so all LRU bookkeeping (and the stats) is mutex-guarded. The row
-// *values* a lookup returns are independent of hit/miss interleavings, which
+// *values* a gather returns are independent of hit/miss interleavings, which
 // is what keeps concurrently-served requests bit-identical to serial runs;
 // only the hit-rate stats depend on arrival order.
 class EmbeddingCache : public EmbeddingSource {
@@ -72,26 +111,25 @@ class EmbeddingCache : public EmbeddingSource {
   EmbeddingCache(const ModelConfig& config, BlobFileReader* reader, size_t capacity_rows,
                  MemoryTracker* tracker = &MemoryTracker::Global());
 
-  void Lookup(uint32_t token, std::span<float> dest) override;
+  // Copies the resident rows out (touching them in the LRU), then reads
+  // every missing row straight into the table in one ReadBlobRanges call
+  // with the lock released, so concurrent gathers' hits never wait on the
+  // device. The misses then enter the LRU, at most capacity_rows of them;
+  // one that lost a concurrent-insert race is dropped (the rows are
+  // bit-identical). The returned table's buffer is charged to the tracker.
+  RowTable Gather(std::span<const uint32_t> tokens) override;
   int64_t ResidentBytes() const override;
-
-  // Batched miss handling (paper §4.5): collects the unique tokens of a
-  // request that are not resident and fetches them in a single device read
-  // per contiguous run, paying the request latency once instead of per row.
-  // The lock is released across the device read (same discipline as
-  // Lookup's miss path), so concurrent hits never wait on a prefetch; rows
-  // that lose a concurrent-insert race are dropped on reacquire.
-  void PrefetchTokens(const std::vector<uint32_t>& tokens);
 
   size_t capacity_rows() const { return capacity_rows_; }
   size_t resident_rows() const;
   EmbeddingCacheStats stats() const;  // Snapshot (cumulative).
 
  private:
-  void InsertRowLocked(uint32_t token, std::vector<float> row) PRISM_REQUIRES(mu_);
+  void InsertRowLocked(uint32_t token, std::span<const float> row) PRISM_REQUIRES(mu_);
 
   ModelConfig config_;
   BlobFileReader* reader_;
+  MemoryTracker* tracker_;
   size_t capacity_rows_;
   mutable Mutex mu_;
   // LRU: most-recent at front. map_ points into lru_.

@@ -32,24 +32,45 @@ PairInput BuildPairInput(const ModelConfig& config, const std::vector<uint32_t>&
   return pair;
 }
 
-void EmbedPairInto(const ModelConfig& config, EmbeddingSource* source, const HeadWeights& head,
-                   const PairInput& pair, size_t candidate, size_t seq_len, Tensor* hidden) {
-  PRISM_CHECK_EQ(pair.tokens.size(), seq_len);
+RowTable GatherPairRows(EmbeddingSource* source, std::span<const PairInput> pairs) {
+  std::vector<uint32_t> tokens;
+  for (const PairInput& pair : pairs) {
+    tokens.insert(tokens.end(), pair.tokens.begin(), pair.tokens.end());
+  }
+  return source->Gather(tokens);
+}
+
+void EmbedPairsInto(const ModelConfig& config, const RowTable& rows, const HeadWeights& head,
+                    std::span<const PairInput> pairs, size_t seq_len, Tensor* hidden) {
   const size_t d = config.hidden;
-  const size_t base = candidate * seq_len;
-  PRISM_CHECK_LE((candidate + 1) * seq_len, hidden->rows());
+  PRISM_CHECK_LE(pairs.size() * seq_len, hidden->rows());
   PRISM_CHECK_EQ(hidden->cols(), d);
+  for (size_t c = 0; c < pairs.size(); ++c) {
+    PRISM_CHECK_EQ(pairs[c].tokens.size(), seq_len);
+    for (size_t t = 0; t < seq_len; ++t) {
+      const std::span<const float> src = rows.Row(pairs[c].tokens[t]);
+      std::copy(src.begin(), src.end(), hidden->row(c * seq_len + t).begin());
+    }
+  }
+  // Sinusoidal position encoding, small scale relative to the unit-norm
+  // token embeddings. Position t's terms are the same for every pair.
+  std::vector<double> freq;
+  for (size_t i = 0; i < d; i += 2) {
+    freq.push_back(std::pow(10000.0, -static_cast<double>(i) / static_cast<double>(d)));
+  }
+  std::vector<float> position(d);
   for (size_t t = 0; t < seq_len; ++t) {
-    auto row = hidden->row(base + t);
-    source->Lookup(pair.tokens[t], row);
-    // Sinusoidal position encoding, small scale relative to the unit-norm
-    // token embeddings.
     for (size_t i = 0; i < d; i += 2) {
-      const double freq = std::pow(10000.0, -static_cast<double>(i) / static_cast<double>(d));
-      const double angle = static_cast<double>(t) * freq;
-      row[i] += 0.05f * static_cast<float>(std::sin(angle));
+      const double angle = static_cast<double>(t) * freq[i / 2];
+      position[i] = 0.05f * static_cast<float>(std::sin(angle));
       if (i + 1 < d) {
-        row[i + 1] += 0.05f * static_cast<float>(std::cos(angle));
+        position[i + 1] = 0.05f * static_cast<float>(std::cos(angle));
+      }
+    }
+    for (size_t c = 0; c < pairs.size(); ++c) {
+      auto row = hidden->row(c * seq_len + t);
+      for (size_t i = 0; i < d; ++i) {
+        row[i] += position[i];
       }
     }
   }
@@ -67,27 +88,31 @@ void EmbedPairInto(const ModelConfig& config, EmbeddingSource* source, const Hea
     }
   }
 
-  // Planted relevance on the document tokens: attention aggregates these
-  // components into the pooled position layer by layer (see synthetic.cc).
-  const float s = pair.relevance - 0.5f;
-  size_t sep = 0;
-  while (sep < seq_len && pair.tokens[sep] != kSepToken) {
-    ++sep;
-  }
-  PRISM_CHECK_LT(sep, seq_len);
-  const float doc_gain = s * config.signal_gain;
-  for (size_t t = sep + 1; t + 1 < seq_len; ++t) {
-    auto row = hidden->row(base + t);
-    for (size_t i = 0; i < d; ++i) {
-      row[i] += doc_gain * v[i];
+  for (size_t c = 0; c < pairs.size(); ++c) {
+    const PairInput& pair = pairs[c];
+    const size_t base = c * seq_len;
+    // Planted relevance on the document tokens: attention aggregates these
+    // components into the pooled position layer by layer (see synthetic.cc).
+    const float s = pair.relevance - 0.5f;
+    size_t sep = 0;
+    while (sep < seq_len && pair.tokens[sep] != kSepToken) {
+      ++sep;
     }
-  }
-  // Weak direct seed at the pooled position so the first layers already carry
-  // coarse information.
-  auto pool_row = hidden->row(PoolRow(config, candidate, seq_len));
-  const float seed_gain = s * config.signal_gain * config.pool_seed;
-  for (size_t i = 0; i < d; ++i) {
-    pool_row[i] += seed_gain * v[i];
+    PRISM_CHECK_LT(sep, seq_len);
+    const float doc_gain = s * config.signal_gain;
+    for (size_t t = sep + 1; t + 1 < seq_len; ++t) {
+      auto row = hidden->row(base + t);
+      for (size_t i = 0; i < d; ++i) {
+        row[i] += doc_gain * v[i];
+      }
+    }
+    // Weak direct seed at the pooled position so the first layers already
+    // carry coarse information.
+    auto pool_row = hidden->row(PoolRow(config, c, seq_len));
+    const float seed_gain = s * config.signal_gain * config.pool_seed;
+    for (size_t i = 0; i < d; ++i) {
+      pool_row[i] += seed_gain * v[i];
+    }
   }
 }
 

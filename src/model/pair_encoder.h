@@ -13,6 +13,7 @@
 #define PRISM_SRC_MODEL_PAIR_ENCODER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/model/config.h"
@@ -39,11 +40,16 @@ struct PairInput {
 PairInput BuildPairInput(const ModelConfig& config, const std::vector<uint32_t>& query,
                          const std::vector<uint32_t>& doc, float relevance, size_t seq_len);
 
-// Embeds `pair` into rows [candidate·seq_len, (candidate+1)·seq_len) of
-// `hidden`: embedding lookup through `source`, position encoding, planted
-// signal at the pooled position (direction = head.w).
-void EmbedPairInto(const ModelConfig& config, EmbeddingSource* source, const HeadWeights& head,
-                   const PairInput& pair, size_t candidate, size_t seq_len, Tensor* hidden);
+// One gather (and so at most one device read) covering every token of
+// `pairs`.
+RowTable GatherPairRows(EmbeddingSource* source, std::span<const PairInput> pairs);
+
+// Embeds `pairs[c]` into rows [c·seq_len, (c+1)·seq_len) of `hidden`: token
+// rows from `rows` (which must cover every pair token), position encoding,
+// planted signal at the pooled position (direction = head.w). The position
+// terms and the unit direction are computed once per call.
+void EmbedPairsInto(const ModelConfig& config, const RowTable& rows, const HeadWeights& head,
+                    std::span<const PairInput> pairs, size_t seq_len, Tensor* hidden);
 
 // Chooses the common sequence length for a request: the longest pair's
 // natural length (1 + |q| + 1 + |d| + 1), clamped to [8, config.max_seq].

@@ -33,6 +33,18 @@ RerankResult OffloadRunner::Rerank(const RerankRequest& request) {
   const size_t seq_len = ChooseSeqLen(config_, request.query, request.docs);
   result.scores.assign(n, 0.0f);
 
+  // Every pair input, and all their rows in one gather (pointers into the
+  // resident table: nothing is copied).
+  const WallTimer gather_timer;
+  std::vector<PairInput> pairs;
+  pairs.reserve(n);
+  for (size_t id = 0; id < n; ++id) {
+    pairs.push_back(
+        BuildPairInput(config_, request.query, request.docs[id], request.planted_r[id], seq_len));
+  }
+  const RowTable rows = GatherPairRows(embedding_.get(), pairs);
+  result.stats.embed_ms += gather_timer.ElapsedMillis();
+
   const size_t batch = std::min(options_.batch_size, n);
   LayerScratch scratch = LayerScratch::Make(config_, batch * seq_len, seq_len, tracker_);
   std::vector<uint8_t> layer_blob(LayerBlobBytes(config_, options_.precision));
@@ -43,11 +55,8 @@ RerankResult OffloadRunner::Rerank(const RerankRequest& request) {
     Tensor hidden(bsz * seq_len, config_.hidden, MemCategory::kHiddenStates, tracker_);
     {
       const WallTimer embed_timer;
-      for (size_t c = 0; c < bsz; ++c) {
-        const PairInput pair = BuildPairInput(config_, request.query, request.docs[b0 + c],
-                                              request.planted_r[b0 + c], seq_len);
-        EmbedPairInto(config_, embedding_.get(), head_, pair, c, seq_len, &hidden);
-      }
+      EmbedPairsInto(config_, rows, head_, std::span<const PairInput>(pairs).subspan(b0, bsz),
+                     seq_len, &hidden);
       result.stats.embed_ms += embed_timer.ElapsedMillis();
     }
 

@@ -64,9 +64,10 @@ QueryEmbedder MakeQueryEmbedder(EmbeddingSource* source, size_t hidden) {
     if (request.query.empty()) {
       return mean;
     }
-    std::vector<float> row(hidden);
+    // One gather: a query costs at most one device read.
+    const RowTable rows = source->Gather(request.query);
     for (uint32_t token : request.query) {
-      source->Lookup(token, row);
+      const std::span<const float> row = rows.Row(token);
       for (size_t i = 0; i < hidden; ++i) {
         mean[i] += row[i];
       }

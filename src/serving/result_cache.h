@@ -71,8 +71,9 @@ using QueryEmbedder = std::function<std::vector<float>(const RerankRequest&)>;
 
 // Mean embedding of the query's tokens through `source` — the same vectors
 // EmbedStage feeds the layers (PrismEngine::embedding_source()), so queries
-// the model sees as near-duplicates embed near each other. `hidden` is the
-// model's hidden size. The source must outlive the returned function.
+// the model sees as near-duplicates embed near each other. The rows come
+// from one Gather per query. `hidden` is the model's hidden size. The
+// source must outlive the returned function.
 QueryEmbedder MakeQueryEmbedder(EmbeddingSource* source, size_t hidden);
 
 struct ResultCacheOptions {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "src/core/engine.h"
 #include "src/model/layer.h"
+#include "src/model/pair_encoder.h"
 #include "src/data/metrics.h"
 #include "src/runtime/hf_runner.h"
 #include "tests/test_util.h"
@@ -113,6 +115,32 @@ TEST_F(EngineTest, EmbedCacheInvariance) {
   PrismEngine b(config_, ckpt_, full, &t2);
   EXPECT_EQ(a.Rerank(request_).scores, b.Rerank(request_).scores);
   EXPECT_GE(a.Rerank(request_).stats.embed_cache_hit_rate, 0.0);
+}
+
+TEST_F(EngineTest, EmbedCacheMissesAtMostUniqueTokensBeyondCapacity) {
+  // A request needing more unique rows than the cache holds must still pay
+  // at most one miss per unique row: one gather reads them all, instead of
+  // a capacity-clamped prefetch whose rows the per-position lookups evict
+  // before use.
+  RerankRequest request = TestRequest(config_, 20, 3);
+  const size_t seq_len = ChooseSeqLen(config_, request.query, request.docs);
+  std::set<uint32_t> unique;
+  for (size_t c = 0; c < request.docs.size(); ++c) {
+    const PairInput pair = BuildPairInput(config_, request.query, request.docs[c],
+                                          request.planted_r[c], seq_len);
+    unique.insert(pair.tokens.begin(), pair.tokens.end());
+  }
+  MemoryTracker tracker;
+  PrismOptions options = BaseOptions();
+  PrismEngine engine(config_, ckpt_, options, &tracker);
+  const size_t capacity = static_cast<size_t>(
+      options.embed_cache_fraction * static_cast<double>(config_.vocab_size));
+  ASSERT_GT(unique.size(), capacity);
+  const RerankResult result = engine.Rerank(request);
+  const EmbeddingCacheStats stats = engine.embed_cache_stats().value();
+  EXPECT_LE(stats.misses, static_cast<int64_t>(unique.size()));
+  EXPECT_EQ(stats.hits + stats.misses, static_cast<int64_t>(unique.size()));
+  EXPECT_EQ(result.stats.embed_cache_hit_rate, 0.0);  // A cold cache.
 }
 
 TEST_F(EngineTest, PruningReducesWorkAndPreservesTopK) {

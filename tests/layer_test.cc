@@ -62,11 +62,13 @@ std::unique_ptr<LoadedModel> Load(ModelArch arch) {
 Tensor EmbedBatch(LoadedModel* m, const RerankRequest& request, size_t seq_len) {
   Tensor hidden(request.docs.size() * seq_len, m->config.hidden, MemCategory::kHiddenStates,
                 &m->tracker);
+  std::vector<PairInput> pairs;
   for (size_t c = 0; c < request.docs.size(); ++c) {
-    const PairInput pair =
-        BuildPairInput(m->config, request.query, request.docs[c], request.planted_r[c], seq_len);
-    EmbedPairInto(m->config, m->embedding.get(), m->head, pair, c, seq_len, &hidden);
+    pairs.push_back(
+        BuildPairInput(m->config, request.query, request.docs[c], request.planted_r[c], seq_len));
   }
+  const RowTable rows = GatherPairRows(m->embedding.get(), pairs);
+  EmbedPairsInto(m->config, rows, m->head, pairs, seq_len, &hidden);
   return hidden;
 }
 

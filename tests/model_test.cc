@@ -2,8 +2,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <thread>
 
 #include "src/common/timer.h"
@@ -206,7 +209,7 @@ TEST(EmbeddingTest, ZipfTrafficHasHighHitRate) {
 
 TEST(EmbeddingTest, ConcurrentLookupsMatchTableBitExactly) {
   // The cache is shared by every in-flight request; parallel lookups and
-  // prefetches must return table-exact rows regardless of LRU interleaving
+  // gathers must return table-exact rows regardless of LRU interleaving
   // (this is also the ThreadSanitizer target for the cache's locking).
   const ModelConfig config = TestModel();
   const std::string path = TestCheckpoint(config);
@@ -228,7 +231,13 @@ TEST(EmbeddingTest, ConcurrentLookupsMatchTableBitExactly) {
           for (int j = 0; j < 8; ++j) {
             batch.push_back(static_cast<uint32_t>(rng.NextBelow(config.vocab_size)));
           }
-          cache.PrefetchTokens(batch);
+          const RowTable rows = cache.Gather(batch);
+          for (uint32_t token : batch) {
+            table.Lookup(token, expected);
+            const std::span<const float> row = rows.Row(token);
+            EXPECT_TRUE(std::equal(row.begin(), row.end(), expected.begin()))
+                << "token " << token;
+          }
         }
         const auto token = static_cast<uint32_t>(rng.NextBelow(config.vocab_size));
         table.Lookup(token, expected);
@@ -245,19 +254,17 @@ TEST(EmbeddingTest, ConcurrentLookupsMatchTableBitExactly) {
   EXPECT_LE(cache.resident_rows(), 16u);
 }
 
-TEST(EmbeddingTest, LookupHitsProceedWhilePrefetchReadsDevice) {
-  // PrefetchTokens must not hold the cache mutex across its batched device
-  // read: a prefetch of many missing rows on a slow SSD takes hundreds of
-  // milliseconds, and concurrent Lookup *hits* — pure memory copies — must
-  // not wait behind it. (This is the regression test for the lock-holding
-  // bug: with the lock held across ReadBlobRanges, the hit below blocked
-  // for the whole device wait.)
+TEST(EmbeddingTest, HitsProceedWhileGatherReadsDevice) {
+  // Gather must not hold the cache mutex across its device read: a gather
+  // of many missing rows on a slow SSD takes hundreds of milliseconds, and
+  // a concurrent gather that only hits — pure memory copies — must not wait
+  // behind it.
   const ModelConfig config = TestModel();
   const std::string path = TestCheckpoint(config);
   SsdConfig slow;
   slow.throttle = true;
-  // 128 B rows at 16 KiB/s: a 48-row prefetch models ~375 ms of device
-  // time; a single warm-up row miss ~8 ms.
+  // 128 B rows at 16 KiB/s: a 48-row gather models ~375 ms of device time;
+  // a single warm-up row miss ~8 ms.
   slow.bandwidth_bytes_per_sec = 16.0 * 1024;
   slow.latency_micros = 200;
   auto reader = BlobFileReader::Open(path, slow);
@@ -271,9 +278,9 @@ TEST(EmbeddingTest, LookupHitsProceedWhilePrefetchReadsDevice) {
   for (uint32_t t = 100; t < 148; ++t) {
     missing.push_back(t);
   }
-  const WallTimer prefetch_timer;
-  std::thread prefetcher([&] { cache.PrefetchTokens(missing); });
-  // Land the hits inside the prefetch's device window.
+  const WallTimer gather_timer;
+  std::thread gatherer([&] { cache.Gather(missing); });
+  // Land the hits inside the gather's device window.
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   double max_hit_ms = 0.0;
   std::vector<float> hit(config.hidden);
@@ -283,13 +290,13 @@ TEST(EmbeddingTest, LookupHitsProceedWhilePrefetchReadsDevice) {
     max_hit_ms = std::max(max_hit_ms, timer.ElapsedMillis());
   }
   EXPECT_EQ(hit, buf);
-  prefetcher.join();
-  const double prefetch_ms = prefetch_timer.ElapsedMillis();
-  // The prefetch spent its life on the device; the hits never touched it.
+  gatherer.join();
+  const double gather_ms = gather_timer.ElapsedMillis();
+  // The gather spent its life on the device; the hits never touched it.
   // Bound generous enough for TSan, still far below the device read.
-  EXPECT_GT(prefetch_ms, 200.0);
+  EXPECT_GT(gather_ms, 200.0);
   EXPECT_LT(max_hit_ms, 100.0);
-  EXPECT_EQ(cache.resident_rows(), 49u);  // 48 prefetched + the warm row.
+  EXPECT_EQ(cache.resident_rows(), 49u);  // 48 gathered + the warm row.
 }
 
 TEST(PairEncoderTest, FixedLengthWithMarkers) {
@@ -309,6 +316,38 @@ TEST(PairEncoderTest, FixedLengthWithMarkers) {
   EXPECT_GT(count30, 1);
 }
 
+TEST(PairEncoderTest, ChunkEmbedMatchesPairByPair) {
+  // Position terms and the unit direction are computed once per call and
+  // shared by every pair in it; each pair's rows must be bit-identical to
+  // embedding that pair alone.
+  const ModelConfig config = TestModel();
+  auto reader = BlobFileReader::Open(TestCheckpoint(config), Unthrottled());
+  ASSERT_TRUE(reader.ok());
+  MemoryTracker tracker;
+  FullEmbeddingTable table(config, reader.value().get(), &tracker);
+  std::vector<uint8_t> head_blob(
+      static_cast<size_t>(reader.value()->BlobSize(HeadBlobIndex(config))));
+  ASSERT_TRUE(reader.value()->ReadBlob(HeadBlobIndex(config), head_blob).ok());
+  const HeadWeights head = ParseHeadBlob(config, head_blob);
+  constexpr size_t kSeqLen = 12;
+  const std::vector<uint32_t> query = {20, 21, 22};
+  const std::vector<PairInput> pairs = {
+      BuildPairInput(config, query, {30, 31}, 0.9f, kSeqLen),
+      BuildPairInput(config, query, {40, 41, 42, 43}, 0.1f, kSeqLen),
+      BuildPairInput(config, query, {50}, 0.5f, kSeqLen)};
+  const RowTable rows = GatherPairRows(&table, pairs);
+  Tensor chunk(pairs.size() * kSeqLen, config.hidden, MemCategory::kHiddenStates, &tracker);
+  EmbedPairsInto(config, rows, head, pairs, kSeqLen, &chunk);
+  for (size_t c = 0; c < pairs.size(); ++c) {
+    Tensor alone(kSeqLen, config.hidden, MemCategory::kHiddenStates, &tracker);
+    EmbedPairsInto(config, rows, head, {&pairs[c], 1}, kSeqLen, &alone);
+    EXPECT_EQ(std::memcmp(chunk.data() + c * kSeqLen * config.hidden, alone.data(),
+                          kSeqLen * config.hidden * sizeof(float)),
+              0)
+        << "pair " << c;
+  }
+}
+
 TEST(PairEncoderTest, ChooseSeqLenClamps) {
   const ModelConfig config = TestModel();  // max_seq = 32
   const std::vector<uint32_t> query(4, 20);
@@ -325,7 +364,48 @@ TEST(PairEncoderTest, PoolRowByArch) {
 }
 
 
-TEST(EmbeddingTest, PrefetchTokensBatchesMisses) {
+TEST(EmbeddingTest, GatherBeyondCapacityIsOneDeviceReadAndBitExact) {
+  // A request may need more unique rows than the cache holds (the RAG
+  // traffic on the test model needs ~2.4× the 10% cache). One gather still
+  // returns every row table-exact from a single device read, and the LRU
+  // never grows past its capacity.
+  const ModelConfig config = TestModel();
+  const std::string path = TestCheckpoint(config);
+  auto reader = BlobFileReader::Open(path, Unthrottled());
+  ASSERT_TRUE(reader.ok());
+  MemoryTracker tracker;
+  FullEmbeddingTable table(config, reader.value().get(), &tracker);
+  constexpr size_t kCapacity = 8;
+  EmbeddingCache cache(config, reader.value().get(), kCapacity, &tracker);
+  std::vector<uint32_t> tokens;
+  for (uint32_t t = 0; t < 20; ++t) {
+    tokens.push_back(300 - 7 * t);  // Unsorted, 20 unique…
+    tokens.push_back(300 - 7 * t);  // …each named twice.
+  }
+  const int64_t reads_before = reader.value()->ssd().stats().read_requests;
+  const RowTable rows = cache.Gather(tokens);
+  EXPECT_EQ(reader.value()->ssd().stats().read_requests - reads_before, 1);
+  EXPECT_EQ(rows.tokens().size(), 20u);
+  EXPECT_TRUE(std::is_sorted(rows.tokens().begin(), rows.tokens().end()));
+  EXPECT_EQ(rows.stats().misses, 20);  // Unique rows, not token positions.
+  EXPECT_EQ(rows.stats().hits, 0);
+  EXPECT_LE(cache.resident_rows(), kCapacity);
+  for (uint32_t token : tokens) {
+    const std::span<const float> expected = table.Row(token);
+    const std::span<const float> got = rows.Row(token);
+    ASSERT_EQ(got.size(), expected.size());
+    EXPECT_EQ(std::memcmp(got.data(), expected.data(), got.size() * sizeof(float)), 0)
+        << "token " << token;
+  }
+  // The table's buffer is charged while it lives, outside the embedding
+  // budget.
+  EXPECT_EQ(tracker.CurrentBytes(MemCategory::kScratch),
+            static_cast<int64_t>(20 * config.hidden * sizeof(float)));
+  EXPECT_EQ(tracker.CurrentBytes(MemCategory::kEmbedding),
+            table.ResidentBytes() + cache.ResidentBytes());
+}
+
+TEST(EmbeddingTest, ResidentGatherReadsNothing) {
   const ModelConfig config = TestModel();
   const std::string path = TestCheckpoint(config);
   auto reader = BlobFileReader::Open(path, Unthrottled());
@@ -334,33 +414,28 @@ TEST(EmbeddingTest, PrefetchTokensBatchesMisses) {
   FullEmbeddingTable table(config, reader.value().get(), &tracker);
   EmbeddingCache cache(config, reader.value().get(), 32, &tracker);
   const std::vector<uint32_t> tokens = {5, 9, 9, 5, 200, 333, 200};
-  cache.PrefetchTokens(tokens);
+  const int64_t reads_before = reader.value()->ssd().stats().read_requests;
+  cache.Gather(tokens);
+  EXPECT_EQ(reader.value()->ssd().stats().read_requests - reads_before, 1);
   EXPECT_EQ(cache.resident_rows(), 4u);  // Unique tokens only.
-  // All subsequent lookups hit and match the table bit-exactly.
-  const int64_t misses_after_prefetch = cache.stats().misses;
-  std::vector<float> a(config.hidden);
-  std::vector<float> b(config.hidden);
+  // Every row is now resident: a second gather is all hits, no device read.
+  const int64_t reads_warm = reader.value()->ssd().stats().read_requests;
+  const RowTable rows = cache.Gather(tokens);
+  EXPECT_EQ(reader.value()->ssd().stats().read_requests - reads_warm, 0);
+  EXPECT_EQ(rows.stats().hits, 4);
+  EXPECT_EQ(rows.stats().misses, 0);
+  EXPECT_EQ(cache.stats().misses, 4);
+  EXPECT_EQ(cache.stats().hits, 4);
   for (uint32_t token : tokens) {
-    table.Lookup(token, a);
-    cache.Lookup(token, b);
-    EXPECT_EQ(a, b);
+    const std::span<const float> expected = table.Row(token);
+    const std::span<const float> got = rows.Row(token);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin())) << "token " << token;
   }
-  EXPECT_EQ(cache.stats().misses, misses_after_prefetch);
-}
-
-TEST(EmbeddingTest, PrefetchClampsToCapacity) {
-  const ModelConfig config = TestModel();
-  const std::string path = TestCheckpoint(config);
-  auto reader = BlobFileReader::Open(path, Unthrottled());
-  ASSERT_TRUE(reader.ok());
-  MemoryTracker tracker;
-  EmbeddingCache cache(config, reader.value().get(), 4, &tracker);
-  std::vector<uint32_t> tokens;
-  for (uint32_t t = 0; t < 20; ++t) {
-    tokens.push_back(t);
-  }
-  cache.PrefetchTokens(tokens);
-  EXPECT_LE(cache.resident_rows(), 4u);
+  // The resident table hands out pointers into itself: no copy, no claim.
+  const int64_t claimed = tracker.CurrentBytes(MemCategory::kScratch);
+  const RowTable resident = table.Gather(tokens);
+  EXPECT_EQ(tracker.CurrentBytes(MemCategory::kScratch), claimed);
+  EXPECT_EQ(resident.Row(200).data(), table.Row(200).data());
 }
 
 TEST(TokenizerTest, DeterministicAndInRange) {

@@ -104,8 +104,9 @@ TEST_F(ServicePoolTest, QueryAffinityPinsRepeatedQueries) {
   }
   EXPECT_EQ(pool.replica(expected_replica).stats().requests, 3u);
   // The point of affinity: the pinned replica's embedding cache warms up
-  // across the repeats. The cumulative hit rate must strictly rise from the
-  // cold first request to the third identical one.
+  // across the repeats. Each request's own hit rate (over the unique rows
+  // it gathered) must strictly rise from the cold first request to the
+  // third identical one.
   EXPECT_GT(results[2].stats.embed_cache_hit_rate, results[0].stats.embed_cache_hit_rate);
   EXPECT_GT(results[2].stats.embed_cache_hit_rate, 0.0);
 }
