@@ -9,9 +9,9 @@
 // against the baseline: 0 mismatches means no scheduler/pool combination
 // ever changed a decision. A final 2× overload phase per scenario runs with
 // deadlines and verifies the serving layer degrades the right way — shed
-// fraction rises while served-only p99 stays within one batch interval of
-// the unloaded run (only observable since ServiceStats keeps shed requests
-// out of the percentiles).
+// fraction rises while served-only p99 stays within one full carousel's
+// service time of the unloaded run (only observable since ServiceStats keeps
+// shed requests out of the percentiles).
 //
 // A machine-readable JSON summary is printed to stdout after the human
 // table (and optionally written to --json=PATH).
@@ -21,7 +21,7 @@
 //        the sweep; non-fp32 adds a precision check — bytes/pass, pass time,
 //        score drift and selection agreement vs an fp32 pass — gating that
 //        the reduced tier streams >= 2x fewer layer bytes, 1.9x for fp16)
-//        --scenarios=all|comma-list --schedulers=serial,batch,carousel
+//        --scenarios=all|comma-list --schedulers=serial,carousel
 //        --pool_sizes=1,2 --clients=6 --requests=24 --warmup=4
 //        --n_queries=8 --max_inflight=4 --zipf=0.9 --rates=0.7
 //        --ssd_mbps=12 (0 = device profile default) --overload=true
@@ -78,7 +78,14 @@ struct Stack {
   ServiceStats Stats() const {
     return pool != nullptr ? pool->stats().aggregate : service->stats();
   }
+  // The scheduler the stack's services run ("serial" | "carousel").
+  std::string SchedulerName() const {
+    return (pool != nullptr ? pool->replica(0) : *service).scheduler().name();
+  }
 };
+
+// The scheduler the overload phase and its unloaded reference run on.
+constexpr SchedulerKind kOverloadScheduler = SchedulerKind::kCarousel;
 
 struct StackSpec {
   ModelConfig model;
@@ -412,7 +419,7 @@ int Main(int argc, char** argv) {
   }
   std::vector<SchedulerKind> schedulers;
   for (const std::string& name :
-       SplitCsv(flags.GetString("schedulers", "serial,batch,carousel"))) {
+       SplitCsv(flags.GetString("schedulers", "serial,carousel"))) {
     schedulers.push_back(SchedulerKindByName(name));
   }
   std::vector<size_t> pool_sizes;
@@ -515,23 +522,21 @@ int Main(int argc, char** argv) {
     const double serial_ms = std::max(serial_unloaded.mean_ms, 1e-3);
     const double slo_ms = 3.0 * serial_ms;
 
-    // In smoke mode each scenario runs one scheduler (i-th scenario gets the
-    // i%3-rd scheduler) so all four apps and all three schedulers are
-    // covered end to end in a handful of runs.
+    // In smoke mode each scenario runs one scheduler (the i-th scenario gets
+    // scheduler i mod the scheduler count) so all four apps and every
+    // scheduler are covered end to end in a handful of runs.
     std::vector<SchedulerKind> scenario_schedulers = schedulers;
     if (smoke && !schedulers.empty()) {
       scenario_schedulers = {schedulers[s % schedulers.size()]};
     }
 
-    // Unloaded reference for the overload bound: prefer the batch x1
-    // closed-loop run; fall back to the single-client serial run when the
-    // sweep has no pool_size-1 config (e.g. --pool_sizes=2).
+    // Unloaded reference for the overload bound: prefer the closed-loop run
+    // of the overload phase's scheduler at pool size 1; fall back to the
+    // single-client serial run when the sweep has no such config (e.g.
+    // --pool_sizes=2).
     double unloaded_p99 = serial_unloaded.p99_ms;
     double unloaded_shed_fraction = 0.0;
     for (const SchedulerKind sched : scenario_schedulers) {
-      const char* sched_name = sched == SchedulerKind::kSerial    ? "serial"
-                               : sched == SchedulerKind::kBatch   ? "batch"
-                                                                  : "carousel";
       for (const size_t pool_size : pool_sizes) {
         // Closed loop.
         {
@@ -546,7 +551,7 @@ int Main(int argc, char** argv) {
           wopts.clock = clk.get();
           RunRecord record;
           record.scenario = harness.name();
-          record.scheduler = sched_name;
+          record.scheduler = stack.SchedulerName();
           record.pool_size = pool_size;
           record.mode = "closed";
           record.clients = clients;
@@ -556,7 +561,7 @@ int Main(int argc, char** argv) {
           record.work_fraction = stack.Stats().WorkFraction(model.n_layers);
           AttachStats(record, stack, sim);
           total_mismatches += record.report.mismatches;
-          if (pool_size == 1 && sched == SchedulerKind::kBatch) {
+          if (pool_size == 1 && sched == kOverloadScheduler) {
             unloaded_p99 = record.report.p99_ms;
             unloaded_shed_fraction = record.report.shed_fraction;
           }
@@ -580,7 +585,7 @@ int Main(int argc, char** argv) {
             wopts.clock = clk.get();
             RunRecord record;
             record.scenario = harness.name();
-            record.scheduler = sched_name;
+            record.scheduler = stack.SchedulerName();
             record.pool_size = pool_size;
             record.mode = "open";
             record.clients = clients;
@@ -601,7 +606,7 @@ int Main(int argc, char** argv) {
     // --- 2x overload phase: deadlines on, twice the closed-loop clients. --
     if (overload) {
       const std::unique_ptr<SimClock> clk = sim ? std::make_unique<SimClock>() : nullptr;
-      Stack stack = MakeStack(spec, SchedulerKind::kBatch, 1, clk.get());
+      Stack stack = MakeStack(spec, kOverloadScheduler, 1, clk.get());
       WorkloadOptions wopts;
       wopts.clients = clients * 2;
       wopts.requests = requests;
@@ -610,7 +615,7 @@ int Main(int argc, char** argv) {
       wopts.slo_ms = slo_ms;
       wopts.clock = clk.get();
       // Tighter than one dispatch cycle (cf. bench_pool): anything still
-      // queued when the in-flight batch completes has expired and sheds.
+      // queued a service time after it arrived has expired and sheds.
       wopts.deadline_ms = 1.2 * serial_ms;
       // In simulated time the closed loop would self-throttle at the virtual
       // service rate; drive the overload as an open-loop Poisson flood at 2x
@@ -621,7 +626,7 @@ int Main(int argc, char** argv) {
       }
       RunRecord record;
       record.scenario = harness.name();
-      record.scheduler = "batch";
+      record.scheduler = stack.SchedulerName();
       record.pool_size = 1;
       record.mode = "overload";
       record.clients = wopts.clients;
@@ -643,9 +648,9 @@ int Main(int argc, char** argv) {
       check.shed_fraction = record.report.shed_fraction;
       check.unloaded_shed_fraction = unloaded_shed_fraction;
       check.p99_ms = record.report.p99_ms;
-      // Served-only p99 may exceed the unloaded run's by at most one batch
-      // interval: shedding happens the next time the dispatcher looks at
-      // the queue. (Before the stats fix, shed ~0 ms latencies dragged the
+      // Served-only p99 may exceed the unloaded run's by at most one full
+      // carousel's service time (max_inflight serial passes): shedding
+      // happens the next time the dispatcher looks at the queue. (Before the stats fix, shed ~0 ms latencies dragged the
       // overload percentiles *below* the unloaded ones.)
       check.bound_ms = unloaded_p99 + serial_ms * static_cast<double>(spec.max_inflight);
       check.ok = check.shed_fraction > check.unloaded_shed_fraction &&

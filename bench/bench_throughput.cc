@@ -1,19 +1,19 @@
-// Serving throughput: serial vs. batching scheduler under concurrent load.
+// Serving throughput: serial vs. carousel scheduler under concurrent load.
 //
 // N client threads hammer one RerankService; we compare the default
 // SerialScheduler (max_inflight=1, the paper's single-request deployment)
-// against the BatchScheduler (max_inflight>=4), which coalesces concurrent
-// requests into one engine pass — each streamed layer is fetched once for
-// every in-flight request and per-request compute fans out across cores.
-// Reported: requests/sec plus client-observed p50/p99 latency (queueing
-// included). Results are bit-identical across schedulers, so the comparison
-// is pure throughput.
+// against the CarouselScheduler (max_inflight>=4, picked by the default
+// `auto` scheduler), whose resident requests share one cyclic layer stream —
+// each streamed layer is fetched once for every in-flight request and
+// per-request compute fans out across cores. Reported: requests/sec plus
+// client-observed p50/p99 latency (queueing included). Results are
+// bit-identical across schedulers, so the comparison is pure throughput.
 //
 // The default workload sits in the regime PRISM targets (few candidates per
 // request, weights streamed from SSD), where layer-load amortisation alone
 // beats serial scheduling even on a single core. Larger --candidates shift
-// the bottleneck to per-layer compute; the batching win then comes from the
-// compute pool and needs a multi-core host to show up.
+// the bottleneck to per-layer compute; the carousel's win then comes from
+// the compute pool and needs a multi-core host to show up.
 //
 // Flags: --model=Qwen3-Reranker-0.6B --device=nvidia|apple --clients=8
 //        --requests=48 --candidates=4 --k=2 --max_inflight=4
@@ -80,7 +80,7 @@ int Main(int argc, char** argv) {
   const size_t compute_threads = static_cast<size_t>(flags.GetInt("compute_threads", 0));
   const float threshold = static_cast<float>(flags.GetDouble("threshold", kThresholdHigh));
 
-  PrintHeader("Serving throughput — serial vs. batching scheduler (" + model.name + ", " +
+  PrintHeader("Serving throughput — serial vs. carousel scheduler (" + model.name + ", " +
               device.name + ", " + std::to_string(clients) + " clients, " +
               std::to_string(total_requests) + " requests of " + std::to_string(candidates) +
               " candidates)");
@@ -100,22 +100,24 @@ int Main(int argc, char** argv) {
   };
 
   const LoadRun serial = run_mode(1);
-  const LoadRun batched = run_mode(max_inflight);
+  const LoadRun carousel = run_mode(max_inflight);
 
   std::printf("%-28s %10s %12s %10s %10s\n", "scheduler", "wall s", "req/s", "p50 ms",
               "p99 ms");
   std::printf("%-28s %10.2f %12.2f %10.2f %10.2f\n", "serial (max_inflight=1)",
               serial.wall_seconds, serial.requests_per_sec, serial.p50_ms, serial.p99_ms);
-  const std::string batch_name = "batch (max_inflight=" + std::to_string(max_inflight) + ")";
-  std::printf("%-28s %10.2f %12.2f %10.2f %10.2f\n", batch_name.c_str(), batched.wall_seconds,
-              batched.requests_per_sec, batched.p50_ms, batched.p99_ms);
+  const std::string carousel_name =
+      "carousel (max_inflight=" + std::to_string(max_inflight) + ")";
+  std::printf("%-28s %10.2f %12.2f %10.2f %10.2f\n", carousel_name.c_str(),
+              carousel.wall_seconds, carousel.requests_per_sec, carousel.p50_ms,
+              carousel.p99_ms);
   std::printf("\nthroughput speedup: %.2fx\n",
-              batched.requests_per_sec / serial.requests_per_sec);
+              carousel.requests_per_sec / serial.requests_per_sec);
 
-  // Sanity: coalesced batching must not change any result.
+  // Sanity: sharing the layer stream must not change any result.
   size_t mismatches = 0;
   for (size_t i = 0; i < serial.topks.size(); ++i) {
-    if (serial.topks[i] != batched.topks[i]) {
+    if (serial.topks[i] != carousel.topks[i]) {
       ++mismatches;
     }
   }

@@ -34,23 +34,23 @@ class PrismCarouselTicket final : public CarouselTicket {
   bool finalized_ = false;
 };
 
-// The engine's cyclic layer pass. Wraps a cyclic LayerStreamer (or the
-// resident layers when streaming is off) and drives the shared stage
-// pipeline one layer at a time. Stall time is charged to the group that
-// waited for the layer; streamed bytes are split across every request still
-// riding the carousel (they all share the cycle). Confined to one driver
-// thread — only Step's compute fan-out is parallel.
+// The engine's layer driver: the only code that acquires layer weights. It
+// wraps a LayerStreamer (or the resident layers when streaming is off) and
+// drives the shared stage pipeline one layer at a time. A cyclic pass
+// revolves for CarouselScheduler; a terminating one walks the layers once
+// for Rerank. Stall time is charged to the group that waited for the layer;
+// each consumed blob's bytes are split across every request still riding the
+// pass (they all share the fetch). Confined to one driver thread — only
+// Step's compute fan-out is parallel.
 class PrismCarouselPass final : public CarouselPass {
  public:
-  explicit PrismCarouselPass(PrismEngine* engine) : engine_(engine) {
-    if (engine_->options_.streaming) {
-      std::vector<size_t> schedule;
-      for (size_t layer = 0; layer < engine_->config_.n_layers; ++layer) {
-        schedule.push_back(LayerBlobIndex(layer));
-      }
-      streamer_ = std::make_unique<LayerStreamer>(engine_->reader_.get(), std::move(schedule),
-                                                  /*buffer_count=*/2, engine_->tracker_,
-                                                  /*cyclic=*/true);
+  PrismCarouselPass(PrismEngine* engine, bool cyclic) : engine_(engine), cyclic_(cyclic) {
+    // A cyclic pass warms its first layers while the opening boundary's
+    // joiners embed. A terminating pass opens the streamer at its first
+    // Step instead, so its request's embed-time row table is freed before
+    // any weight buffer is claimed.
+    if (cyclic_) {
+      OpenStreamer();
     }
   }
 
@@ -110,6 +110,9 @@ class PrismCarouselPass final : public CarouselPass {
       ctxs.push_back(&static_cast<PrismCarouselTicket*>(ticket)->ctx());
     }
 
+    if (seq_ == 0 && !cyclic_) {
+      OpenStreamer();
+    }
     std::span<const uint8_t> blob;
     if (streamer_ != nullptr) {
       const WallTimer stall_timer;
@@ -128,12 +131,12 @@ class PrismCarouselPass final : public CarouselPass {
     const AnyLayerView view =
         ParseAnyLayerBlob(engine_->config_, blob, engine_->options_.precision);
     const bool last_layer = layer + 1 == n_layers();
-    engine_->layer_loop_->ForwardGroup(ctxs, layer, view, last_layer, compute_pool);
+    engine_->layer_stage_->ForwardGroup(ctxs, layer, view, last_layer, compute_pool);
 
-    // The fetch served the whole cycle: split it across everyone riding it.
-    // Resident (non-streaming) layers charge nothing, matching the serial
-    // path. (live_ can be empty when a fault-injection wrapper killed every
-    // resident but still steps the pass to keep the walk aligned.)
+    // The fetch served everyone riding the pass: split it across them.
+    // Resident (non-streaming) layers charge nothing. (live_ can be empty
+    // when a fault-injection wrapper killed every resident but still steps
+    // the pass to keep the walk aligned.)
     if (streamer_ != nullptr && !live_.empty()) {
       const int64_t byte_share =
           static_cast<int64_t>(blob.size()) / static_cast<int64_t>(live_.size());
@@ -142,12 +145,12 @@ class PrismCarouselPass final : public CarouselPass {
       }
     }
 
-    // Release before settling, as in LayerLoop::Run: the next layer
-    // prefetches into the freed buffer while pruning runs.
+    // Release before settling: the next layer prefetches into the freed
+    // buffer while pruning runs.
     if (streamer_ != nullptr) {
       streamer_->Release(seq_);
     }
-    engine_->layer_loop_->SettleGroup(ctxs, layer, last_layer);
+    engine_->layer_stage_->SettleGroup(ctxs, layer, last_layer);
     ++seq_;
   }
 
@@ -165,9 +168,9 @@ class PrismCarouselPass final : public CarouselPass {
   // Ticket exit paths (called by PrismCarouselTicket only).
   void Finalize(PrismCarouselTicket* ticket) {
     engine_->prune_stage_->Finalize(&ticket->ctx());
-    // Publish the trace like RerankBatch does for its last context: the
-    // most recently finalized request's records are what last_trace()
-    // returns.
+    // Publish the trace — full per-layer records in trace mode, the light
+    // per-prune-decision entries otherwise: the most recently finalized
+    // request's records are what last_trace() returns.
     {
       MutexLock lock(engine_->trace_mu_);
       engine_->trace_ = std::move(ticket->ctx().trace);
@@ -197,7 +200,20 @@ class PrismCarouselPass final : public CarouselPass {
     live_.erase(std::remove(live_.begin(), live_.end(), ticket), live_.end());
   }
 
+  void OpenStreamer() {
+    if (!engine_->options_.streaming) {
+      return;
+    }
+    std::vector<size_t> schedule;
+    for (size_t layer = 0; layer < engine_->config_.n_layers; ++layer) {
+      schedule.push_back(LayerBlobIndex(layer));
+    }
+    streamer_ = std::make_unique<LayerStreamer>(engine_->reader_.get(), std::move(schedule),
+                                                /*buffer_count=*/2, engine_->tracker_, cyclic_);
+  }
+
   PrismEngine* engine_;
+  bool cyclic_;
   std::unique_ptr<LayerStreamer> streamer_;  // Null when streaming is off.
   size_t seq_ = 0;                           // Monotonic carousel position.
   std::vector<PrismCarouselTicket*> live_;   // Admitted, result not yet taken.
@@ -278,7 +294,7 @@ PrismEngine::PrismEngine(const ModelConfig& config, const std::string& checkpoin
   resources_.spill = spill_.get();
   planner_.emplace(resources_);
   embed_stage_.emplace(resources_);
-  layer_loop_.emplace(resources_);
+  layer_stage_.emplace(resources_);
   prune_stage_.emplace(resources_);
 }
 
@@ -299,66 +315,17 @@ size_t PrismEngine::PlanChunkCandidates(size_t n, size_t seq_len) const {
 }
 
 std::unique_ptr<CarouselPass> PrismEngine::BeginCarousel() {
-  return std::make_unique<PrismCarouselPass>(this);
+  return std::make_unique<PrismCarouselPass>(this, /*cyclic=*/true);
 }
 
 RerankResult PrismEngine::Rerank(const RerankRequest& request) {
-  const RerankRequest* ptr = &request;
-  std::vector<RerankResult> results = RerankBatch({&ptr, 1});
-  return std::move(results.front());
-}
-
-std::vector<RerankResult> PrismEngine::RerankBatch(
-    std::span<const RerankRequest* const> requests, ThreadPool* compute_pool) {
-  if (requests.empty()) {
-    return {};
+  PrismCarouselPass pass(this, /*cyclic=*/false);
+  const std::unique_ptr<CarouselTicket> ticket = pass.Admit(request);
+  while (!ticket->done()) {
+    CarouselTicket* group[] = {ticket.get()};
+    pass.Step(ticket->next_layer(), group, /*compute_pool=*/nullptr);
   }
-  // Contexts live on the heap so their addresses stay stable for the stages.
-  std::vector<std::unique_ptr<RequestContext>> contexts;
-  contexts.reserve(requests.size());
-  for (const RerankRequest* request : requests) {
-    auto ctx = std::make_unique<RequestContext>(
-        *request, next_request_id_.fetch_add(1, std::memory_order_relaxed));
-    ctx->pruner_options.dispersion_threshold = dispersion_threshold();
-    ctx->pruner_options.prune_winners = options_.prune_winners;
-    ctx->pruner_options.kmeans_max_k = options_.kmeans_max_k;
-    ctx->pruner_options.seed = options_.seed;
-    planner_->Begin(ctx.get());
-    contexts.push_back(std::move(ctx));
-  }
-
-  // Embed each request (in parallel when a pool is provided — the embedding
-  // cache serialises its own lookups).
-  if (compute_pool != nullptr && contexts.size() > 1) {
-    compute_pool->ParallelFor(0, contexts.size(),
-                              [&](size_t i) { embed_stage_->Run(contexts[i].get()); });
-  } else {
-    for (auto& ctx : contexts) {
-      embed_stage_->Run(ctx.get());
-    }
-  }
-
-  std::vector<RequestContext*> batch;
-  batch.reserve(contexts.size());
-  for (auto& ctx : contexts) {
-    batch.push_back(ctx.get());
-  }
-  layer_loop_->Run(batch, compute_pool);
-
-  std::vector<RerankResult> results;
-  results.reserve(contexts.size());
-  for (auto& ctx : contexts) {
-    prune_stage_->Finalize(ctx.get());
-    results.push_back(std::move(ctx->result));
-  }
-
-  // Publish the last context's trace — full per-layer records in trace
-  // mode, the light per-prune-decision entries otherwise.
-  {
-    MutexLock lock(trace_mu_);
-    trace_ = std::move(contexts.back()->trace);
-  }
-  return results;
+  return ticket->TakeResult();
 }
 
 }  // namespace prism

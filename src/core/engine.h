@@ -10,16 +10,17 @@
 //
 // Execution is organised as a staged pipeline (src/core/stages.h): the
 // engine owns only shared immutable resources and hands each request a
-// private RequestContext, so concurrent Rerank/RerankBatch calls are safe —
-// a batch shares a single layer-streaming pass across its requests while
-// producing results bit-identical to serial execution.
+// private RequestContext, so concurrent Rerank calls are safe. One layer
+// driver walks the layers: a carousel pass (engine.cc). Rerank rides a
+// terminating pass of its own for one cycle; CarouselScheduler rides a
+// cyclic pass shared by every in-flight request, with results bit-identical
+// to Rerank.
 #ifndef PRISM_SRC_CORE_ENGINE_H_
 #define PRISM_SRC_CORE_ENGINE_H_
 
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -38,29 +39,21 @@
 
 namespace prism {
 
-class PrismEngine : public BatchRunner {
+class PrismEngine : public CarouselRunner {
  public:
   PrismEngine(const ModelConfig& config, const std::string& checkpoint_path, PrismOptions options,
               MemoryTracker* tracker = &MemoryTracker::Global());
 
+  // Admits the request to a terminating pass of its own and steps it until
+  // it is done: the same layer walk the carousel runs, for one cycle.
   RerankResult Rerank(const RerankRequest& request) override;
-
-  // Runs several requests as one coalesced pass: every layer's weights are
-  // fetched once for the whole batch (the §3.3 global view extended across
-  // requests), while per-request pruning keeps each result bit-identical to
-  // a serial Rerank. When `compute_pool` is non-null, per-request forwarding
-  // fans out across its workers. Thread-compatible: concurrent calls are
-  // safe (shared caches/spill are internally synchronised).
-  std::vector<RerankResult> RerankBatch(std::span<const RerankRequest* const> requests,
-                                        ThreadPool* compute_pool = nullptr) override;
 
   // Opens a cyclic carousel pass over this engine's layer stream: the
   // CarouselScheduler admits requests at cycle boundaries and steps every
   // resident request through each arriving layer, with results bit-identical
-  // to serial Rerank per request (pruning stays per-request; only fetch
-  // sharing and admission timing change). The pass and its tickets are
-  // confined to the calling thread; the engine must outlive them.
-  bool SupportsCarousel() const override { return true; }
+  // to Rerank per request (pruning stays per-request; only fetch sharing and
+  // admission timing change). The pass and its tickets are confined to the
+  // calling thread; the engine must outlive them.
   std::unique_ptr<CarouselPass> BeginCarousel() override;
 
   std::string name() const override {
@@ -144,7 +137,7 @@ class PrismEngine : public BatchRunner {
   StageResources resources_;
   std::optional<ChunkPlanner> planner_;
   std::optional<EmbedStage> embed_stage_;
-  std::optional<LayerLoop> layer_loop_;
+  std::optional<LayerStage> layer_stage_;
   std::optional<PruneStage> prune_stage_;
 
   mutable Mutex trace_mu_;

@@ -1,24 +1,23 @@
 // Staged execution pipeline for the PRISM engine.
 //
-// PrismEngine::Rerank used to be one monolithic 350-line forwarding loop; it
-// is now composed of four explicit stages operating on a per-request
-// RequestContext:
+// A rerank request passes through four explicit stages operating on a
+// per-request RequestContext:
 //
-//   ChunkPlanner ─► EmbedStage ─► LayerLoop ◄──► PruneStage
-//    (geometry)     (lookup +      (stream +      (CV check, k-means,
-//                    planted        forward        compact survivors,
-//                    signal)        chunks)        finalize top-K)
+//   ChunkPlanner ─► EmbedStage ─► LayerStage ◄──► PruneStage
+//    (geometry)     (lookup +      (forward       (CV check, k-means,
+//                    planted        chunks         compact survivors,
+//                    signal)        per layer)     finalize top-K)
 //
 // Every byte of mutable per-request state — hidden-state chunks, provisional
 // scores, trace, stats, the activation scratch — lives in the context; the
 // engine retains only shared immutable resources (weights, config, reader),
-// bundled here as StageResources. That split is what lets the service
-// front-end admit several requests at once: LayerLoop takes a *batch* of
-// contexts and forwards all of them through each streamed layer, so one
-// weight fetch serves every in-flight request (the paper's §3.3 global view,
-// extended across requests), while pruning decisions stay per-request —
-// results are bit-identical to serial execution regardless of batch size or
-// thread count.
+// bundled here as StageResources. The stages never fetch weights: the
+// engine's carousel pass (engine.cc) is the one layer driver. It acquires
+// each layer once and hands it to LayerStage together with the group of
+// contexts that need it, so one weight fetch serves every in-flight request
+// (the paper's §3.3 global view, extended across requests), while pruning
+// decisions stay per-request — results are bit-identical to a lone Rerank
+// regardless of group size or thread count.
 #ifndef PRISM_SRC_CORE_STAGES_H_
 #define PRISM_SRC_CORE_STAGES_H_
 
@@ -123,7 +122,7 @@ struct ChunkState {
 // All mutable state of one in-flight rerank request. Contexts are built by
 // the engine (which assigns the engine-unique `id`), threaded through the
 // stages, and torn down when the result is extracted. Nothing in here is
-// shared between requests, so a batch of contexts can advance on separate
+// shared between requests, so a group of contexts can advance on separate
 // threads without synchronisation.
 struct RequestContext {
   RequestContext(const RerankRequest& req, uint64_t request_id)
@@ -153,7 +152,7 @@ struct RequestContext {
   WallTimer timer;
 
   // Depth tag: the next layer this context must be forwarded through.
-  // LayerLoop::StepLayer CHECKs it against the arriving layer, so a context
+  // LayerStage::ForwardGroup CHECKs it against the arriving layer, so a context
   // can never run a layer outside its plan (layers are strictly sequential
   // from 0 until `done`). The carousel groups co-resident contexts by this
   // tag.
@@ -171,7 +170,7 @@ struct RequestContext {
 
 // Moves a chunk's hidden tensor out of the context (unspilling it from disk
 // when parked there) / stows it back (spilling when offload is on and more
-// layers remain). Shared by LayerLoop and PruneStage's compaction.
+// layers remain). Shared by LayerStage and PruneStage's compaction.
 Tensor TakeChunkHidden(const StageResources& res, RequestContext* ctx, size_t chunk_index);
 void StowChunkHidden(const StageResources& res, RequestContext* ctx, size_t chunk_index,
                      Tensor hidden, bool more_layers);
@@ -218,8 +217,8 @@ class EmbedStage {
 // Stage 4 — pruning. Consumes the provisional scores a layer produced:
 // records them into the result, handles trace mode, runs DecidePrune, and on
 // a trigger finalizes/drops/compacts (the paper's shrinking monolithic
-// batch, Fig 3: BS 20 → 16 → 10). Finalize() fills the top-K once the layer
-// loop is over.
+// batch, Fig 3: BS 20 → 16 → 10). Finalize() fills the top-K once the
+// request needs no more layers.
 class PruneStage {
  public:
   explicit PruneStage(const StageResources& res) : res_(res) {}
@@ -234,40 +233,26 @@ class PruneStage {
   StageResources res_;
 };
 
-// Stage 3 — the layer loop. Streams (or reads resident) layer weights and
-// forwards every live context's chunks through each layer, invoking
-// PruneStage between layers. A batch of contexts shares one LayerStreamer
-// pass: each layer's weights are fetched once for all in-flight requests,
-// and per-context forwarding fans out on `compute_pool` when provided.
-// Streamed-bytes / stall stats are split evenly across the batch.
-//
-// Run() drives a whole terminating pass (BatchScheduler / direct engine
-// calls). StepLayer() is the carousel's entry point: it advances one
-// depth-tagged group of contexts through one already-acquired layer, letting
-// an external driver own the (cyclic) weight stream and interleave admission
-// and exit between layers.
-class LayerLoop {
+// Stage 3 — one layer step for a depth-tagged group of contexts. The
+// caller owns the weight stream (see the file comment) and hands the
+// already-acquired layer in. Per-context forwarding fans out on
+// `compute_pool` when provided.
+class LayerStage {
  public:
-  explicit LayerLoop(const StageResources& res) : res_(res), prune_(res) {}
-
-  void Run(std::span<RequestContext* const> ctxs, ThreadPool* compute_pool) const;
+  explicit LayerStage(const StageResources& res) : res_(res), prune_(res) {}
 
   // One layer step = ForwardGroup (needs the weights) then SettleGroup
-  // (does not): drivers release the layer's streamer buffer in between, so
-  // the prefetcher pulls the next blob while pruning runs — the same
-  // overlap the monolithic loop had.
+  // (does not): the driver releases the layer's streamer buffer in between,
+  // so the prefetcher pulls the next blob while pruning runs.
   //
   // ForwardGroup forwards every context in `group` through `layer` (weights
   // already parsed into `view`). CHECKs that each context's next_layer tag
   // equals `layer` — no context is ever forwarded through a layer outside
   // its plan. SettleGroup runs the between-layer prune bookkeeping, marking
-  // contexts done when they terminate or `last_layer` is set. StepLayer is
-  // the composed convenience for drivers with no buffer to release.
+  // contexts done when they terminate or `last_layer` is set.
   void ForwardGroup(std::span<RequestContext* const> group, size_t layer,
                     const AnyLayerView& view, bool last_layer, ThreadPool* compute_pool) const;
   void SettleGroup(std::span<RequestContext* const> group, size_t layer, bool last_layer) const;
-  void StepLayer(std::span<RequestContext* const> group, size_t layer, const AnyLayerView& view,
-                 bool last_layer, ThreadPool* compute_pool) const;
 
  private:
   void ForwardOneLayer(RequestContext* ctx, const AnyLayerView& view, bool last_layer) const;

@@ -6,6 +6,7 @@
 #include "src/core/engine.h"
 #include "src/model/layer.h"
 #include "src/model/pair_encoder.h"
+#include "src/model/weights.h"
 #include "src/data/metrics.h"
 #include "src/runtime/hf_runner.h"
 #include "tests/test_util.h"
@@ -281,6 +282,21 @@ TEST_F(EngineTest, LowThresholdTerminatesEarly) {
   const RerankResult result = engine.Rerank(request_);
   EXPECT_LT(result.stats.candidate_layers,
             static_cast<int64_t>(request_.docs.size() * config_.n_layers));
+}
+
+TEST_F(EngineTest, BytesStreamedCountsConsumedLayerBlobsOnly) {
+  // A request that pruning terminates early reports the layer blobs its pass
+  // consumed, not the prefetches it made pointless — the same on a repeat.
+  MemoryTracker tracker;
+  PrismOptions options = BaseOptions();
+  options.dispersion_threshold = 0.05f;
+  PrismEngine engine(config_, ckpt_, options, &tracker);
+  const RerankResult first = engine.Rerank(request_);
+  ASSERT_LT(first.stats.layers_until_done, config_.n_layers);
+  const auto expected = static_cast<int64_t>(first.stats.layers_until_done *
+                                             LayerBlobBytes(config_, options.precision));
+  EXPECT_EQ(first.stats.bytes_streamed, expected);
+  EXPECT_EQ(engine.Rerank(request_).stats.bytes_streamed, expected);
 }
 
 TEST_F(EngineTest, ExactRankModeMatchesFullTopKOrder) {

@@ -1,6 +1,6 @@
-// Concurrency tests for the staged pipeline and the batching service
+// Concurrency tests for the staged pipeline and the carousel service
 // front-end. The load-bearing property throughout: results through any
-// scheduler, batch size, or thread count are bit-identical to the serial
+// scheduler, group size, or thread count are bit-identical to the serial
 // path. This binary is also the main ThreadSanitizer target in CI.
 #include <gtest/gtest.h>
 
@@ -8,6 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -244,7 +247,8 @@ TEST(RequestQueueTest, CloseDrainsThenReturnsEmpty) {
 }
 
 TEST_F(ServiceConcurrencyTest, EngineBatchMatchesSerial) {
-  // One coalesced RerankBatch pass == N serial Rerank calls, bit for bit.
+  // Every request boarding one carousel boundary together, embeds and
+  // compute fanned out on a pool == N serial Rerank calls, bit for bit.
   MemoryTracker t1;
   MemoryTracker t2;
   PrismOptions options;
@@ -257,12 +261,28 @@ TEST_F(ServiceConcurrencyTest, EngineBatchMatchesSerial) {
     pointers.push_back(&request);
   }
   ThreadPool pool(4);
-  const std::vector<RerankResult> batched = batch_engine.RerankBatch(pointers, &pool);
-  ASSERT_EQ(batched.size(), requests_.size());
+  const std::unique_ptr<CarouselPass> pass = batch_engine.BeginCarousel();
+  const std::vector<std::unique_ptr<CarouselTicket>> tickets = pass->AdmitBatch(pointers, &pool);
+  ASSERT_EQ(tickets.size(), requests_.size());
+  // Boarding together, every unfinished ticket needs the arriving layer.
+  for (size_t layer = 0; layer < pass->n_layers(); ++layer) {
+    std::vector<CarouselTicket*> group;
+    for (const std::unique_ptr<CarouselTicket>& ticket : tickets) {
+      if (!ticket->done()) {
+        group.push_back(ticket.get());
+      }
+    }
+    if (group.empty()) {
+      break;
+    }
+    pass->Step(layer, group, &pool);
+  }
   for (size_t i = 0; i < requests_.size(); ++i) {
+    ASSERT_TRUE(tickets[i]->done()) << "request " << i;
+    const RerankResult batched = tickets[i]->TakeResult();
     const RerankResult serial = serial_engine.Rerank(requests_[i]);
-    EXPECT_EQ(batched[i].topk, serial.topk) << "request " << i;
-    EXPECT_EQ(batched[i].scores, serial.scores) << "request " << i;
+    EXPECT_EQ(batched.topk, serial.topk) << "request " << i;
+    EXPECT_EQ(batched.scores, serial.scores) << "request " << i;
   }
 }
 
@@ -484,10 +504,57 @@ TEST_F(ServiceConcurrencyTest, StatsAggregateUnderConcurrency) {
   EXPECT_GT(stats.total_candidates, 0);
 }
 
+// A one-layer carousel pass over any Runner: each ticket answers through
+// Runner::Rerank at its first Step. Lets the scheduler tests below script
+// answers without an engine.
+class RerankOnStepPass : public CarouselPass {
+ public:
+  explicit RerankOnStepPass(Runner* runner) : runner_(runner) {}
+
+  size_t n_layers() const override { return 1; }
+
+  std::unique_ptr<CarouselTicket> Admit(const RerankRequest& request) override {
+    return std::make_unique<Ticket>(&request);
+  }
+
+  void Step(size_t /*layer*/, std::span<CarouselTicket* const> group,
+            ThreadPool* /*compute_pool*/) override {
+    for (CarouselTicket* ticket : group) {
+      auto* answered = static_cast<Ticket*>(ticket);
+      answered->result = runner_->Rerank(*answered->request);
+      answered->answered = true;
+    }
+  }
+
+  void SkipToNextCycle() override {}
+
+ private:
+  struct Ticket : CarouselTicket {
+    explicit Ticket(const RerankRequest* r) : request(r) {}
+    size_t next_layer() const override { return 0; }
+    bool done() const override { return answered; }
+    RerankResult TakeResult() override { return std::move(result); }
+
+    const RerankRequest* request;
+    RerankResult result;
+    bool answered = false;
+  };
+
+  Runner* runner_;
+};
+
+// A CarouselRunner whose pass is RerankOnStepPass over itself.
+class StepRerankRunner : public CarouselRunner {
+ public:
+  std::unique_ptr<CarouselPass> BeginCarousel() override {
+    return std::make_unique<RerankOnStepPass>(this);
+  }
+};
+
 // Answers by script instead of by engine: a request's candidate count picks
 // its outcome (1 = shed, 2 = IoError, anything else = served), so a
 // service's stats can be checked against an exact plan.
-class ScriptedRunner : public BatchRunner {
+class ScriptedRunner : public StepRerankRunner {
  public:
   static constexpr int64_t kServedBytes = 100;
   static constexpr int64_t kFailedBytes = 7;
@@ -508,20 +575,10 @@ class ScriptedRunner : public BatchRunner {
     return result;
   }
 
-  std::vector<RerankResult> RerankBatch(std::span<const RerankRequest* const> requests,
-                                        ThreadPool* /*compute_pool*/) override {
-    std::vector<RerankResult> results;
-    results.reserve(requests.size());
-    for (const RerankRequest* request : requests) {
-      results.push_back(Rerank(*request));
-    }
-    return results;
-  }
-
   std::string name() const override { return "scripted"; }
 };
 
-// `n_threads` clients drive a batching RerankService over a ScriptedRunner
+// `n_threads` clients drive a carousel RerankService over a ScriptedRunner
 // with a fixed ok/shed/IoError mix while a reader snapshots stats()
 // continuously. Every snapshot must be self-consistent (an observation is
 // recorded whole under the stats mutex, never torn), and the final one must
@@ -533,7 +590,7 @@ void ServiceStatsBalance(const ModelConfig& config, const std::string& ckpt, siz
   MemoryTracker tracker;
   ServiceOptions options;
   options.engine.device = FastDevice();
-  options.scheduler = SchedulerKind::kBatch;
+  options.scheduler = SchedulerKind::kCarousel;
   options.max_inflight = 4;
   options.compute_threads = 1;
   options.runner_override = &runner;
@@ -730,7 +787,7 @@ TEST(ServiceStatsTest, ReservoirIsDeterministicForFixedObservationOrder) {
 
 // A runner that just sleeps: lets the shed tests hold a scheduler busy for
 // a known duration without an engine.
-class SleepyRunner : public BatchRunner {
+class SleepyRunner : public StepRerankRunner {
  public:
   explicit SleepyRunner(double sleep_ms) : sleep_ms_(sleep_ms) {}
 
@@ -739,16 +796,6 @@ class SleepyRunner : public BatchRunner {
     RerankResult result;
     result.topk.resize(std::min(request.k, request.docs.size()));
     return result;
-  }
-
-  std::vector<RerankResult> RerankBatch(std::span<const RerankRequest* const> requests,
-                                        ThreadPool* /*compute_pool*/) override {
-    std::vector<RerankResult> results;
-    results.reserve(requests.size());
-    for (const RerankRequest* request : requests) {
-      results.push_back(Rerank(*request));
-    }
-    return results;
   }
 
   std::string name() const override { return "sleepy"; }
@@ -785,10 +832,10 @@ TEST(ShedQueueWaitTest, SerialSchedulerInlineShedCarriesWait) {
 }
 
 TEST(ShedQueueWaitTest, RequestQueueShedCarriesWait) {
-  // Batch/carousel shed path: an expired entry answered by the queue's
-  // expiry sweep reports its full queue residence as queue wait.
+  // Carousel shed path: an expired entry answered by the queue's expiry
+  // sweep reports its full queue residence as queue wait.
   SleepyRunner runner(80.0);
-  BatchScheduler scheduler(&runner, /*max_inflight=*/1, /*compute_threads=*/1);
+  CarouselScheduler scheduler(&runner, /*max_inflight=*/1, /*compute_threads=*/1);
   RerankRequest slow;
   std::thread first([&] { scheduler.Submit(slow); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));  // Dispatcher is busy.
