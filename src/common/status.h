@@ -24,6 +24,7 @@ enum class StatusCode {
   kIoError,
   kResourceExhausted,
   kDeadlineExceeded,
+  kCancelled,
 };
 
 // Human-readable name for a status code, e.g. for log messages.
@@ -53,6 +54,9 @@ class Status {
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
+  }
+  static Status Cancelled(std::string msg) {
+    return Status(StatusCode::kCancelled, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

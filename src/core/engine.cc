@@ -57,8 +57,10 @@ class PrismCarouselPass final : public CarouselPass {
   ~PrismCarouselPass() override {
     PRISM_CHECK_MSG(live_.empty(), "carousel pass destroyed with live tickets");
     if (streamer_ != nullptr && seq_ > 0) {
-      // Stop the prefetcher from fetching layers nobody will consume while
-      // the destructor joins it.
+      // Nothing past the last stepped position will be consumed: truncating
+      // there cancels the read in flight (the device frees up at once) and
+      // keeps the prefetcher from starting another before the streamer's
+      // destructor joins it.
       streamer_->TruncateSchedule(seq_ - 1);
     }
   }

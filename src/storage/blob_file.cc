@@ -142,11 +142,11 @@ uint32_t BlobFileReader::BlobQuantGroup(size_t index) const {
   return table_[index].quant_group;
 }
 
-Status BlobFileReader::ReadBlob(size_t index, std::span<uint8_t> dest) {
+Status BlobFileReader::ReadBlob(size_t index, std::span<uint8_t> dest, CancelToken* cancel) {
   PRISM_CHECK_LT(index, table_.size());
   const Entry& entry = table_[index];
   PRISM_CHECK_EQ(static_cast<int64_t>(dest.size()), entry.size);
-  return ssd_->Read(entry.offset, dest);
+  return ssd_->Read(entry.offset, dest, cancel);
 }
 
 Status BlobFileReader::ReadBlobRange(size_t index, int64_t offset_in_blob,

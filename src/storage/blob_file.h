@@ -80,7 +80,8 @@ class BlobFileReader {
   uint32_t BlobQuantGroup(size_t index) const;
 
   // Reads blob `index` fully into `dest` (must be exactly BlobSize bytes).
-  Status ReadBlob(size_t index, std::span<uint8_t> dest);
+  // `cancel` passes through to SimulatedSsd::Read.
+  Status ReadBlob(size_t index, std::span<uint8_t> dest, CancelToken* cancel = nullptr);
 
   // Reads a byte range within blob `index` (for row-granular embedding-table
   // fetches on cache miss, §4.4).

@@ -21,6 +21,7 @@ LayerStreamer::~LayerStreamer() {
   {
     MutexLock lock(mu_);
     shutting_down_ = true;
+    read_cancel_.Cancel();  // Nobody consumes anything from here on.
   }
   cv_.NotifyAll();
   prefetcher_.join();
@@ -88,6 +89,9 @@ void LayerStreamer::TruncateSchedule(size_t last_seq) {
   {
     MutexLock lock(mu_);
     schedule_end_ = std::min(schedule_end_, last_seq + 1);
+    if (in_flight_seq_ != SIZE_MAX && in_flight_seq_ >= schedule_end_) {
+      read_cancel_.Cancel();
+    }
   }
   cv_.NotifyAll();
 }
@@ -101,10 +105,13 @@ void LayerStreamer::SkipTo(size_t seq) {
     for (auto& buf : buffers_) {
       // Ready buffers below the new floor are dead weight; free them now. A
       // buffer still loading (seq set, !ready) is being written outside the
-      // lock — the prefetcher frees it on completion instead.
+      // lock — its read is cancelled and the prefetcher frees it.
       if (buf.seq != SIZE_MAX && buf.seq < seq && buf.ready) {
         FreeBufferLocked(&buf);
       }
+    }
+    if (in_flight_seq_ < seq) {
+      read_cancel_.Cancel();
     }
   }
   cv_.NotifyAll();
@@ -150,24 +157,33 @@ void LayerStreamer::PrefetchLoop() {
       const int64_t size = reader_->BlobSize(blob_index);
       target->bytes.resize(static_cast<size_t>(size));
       target->claim = MemClaim(tracker_, MemCategory::kWeights, size);
+      in_flight_seq_ = seq;
+      read_cancel_.Reset();
     }
     // I/O happens outside the lock; the device model inside SimulatedSsd
     // provides the timing.
-    const Status status = reader_->ReadBlob(blob_index, target->bytes);
-    PRISM_CHECK_MSG(status.ok(), status.ToString().c_str());
+    const Status status = reader_->ReadBlob(blob_index, target->bytes, &read_cancel_);
     {
       MutexLock lock(mu_);
-      stats_.bytes_loaded += static_cast<int64_t>(target->bytes.size());
-      ++stats_.blobs_loaded;
-      StreamerCycleStats& cycle = CycleSlotLocked(target->seq);
-      cycle.bytes_loaded += static_cast<int64_t>(target->bytes.size());
-      ++cycle.blobs_loaded;
-      if (target->seq < release_floor_) {
-        // The position was skipped while the read was in flight; the bytes
-        // were paid for (counted above) but nobody will consume them.
+      in_flight_seq_ = SIZE_MAX;
+      if (status.code() == StatusCode::kCancelled) {
+        // Truncated, skipped or torn down mid-read: nobody will consume the
+        // position, and the bytes were never delivered, so count nothing.
         FreeBufferLocked(target);
       } else {
-        target->ready = true;
+        PRISM_CHECK_MSG(status.ok(), status.ToString().c_str());
+        stats_.bytes_loaded += static_cast<int64_t>(target->bytes.size());
+        ++stats_.blobs_loaded;
+        StreamerCycleStats& cycle = CycleSlotLocked(target->seq);
+        cycle.bytes_loaded += static_cast<int64_t>(target->bytes.size());
+        ++cycle.blobs_loaded;
+        if (target->seq < release_floor_) {
+          // Skipped after the read had completed: the bytes were paid for
+          // (counted above) but nobody will consume them.
+          FreeBufferLocked(target);
+        } else {
+          target->ready = true;
+        }
       }
     }
     cv_.NotifyAll();

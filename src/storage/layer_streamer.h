@@ -24,6 +24,13 @@
 // discards unconsumed positions below a point (e.g. the rest of a drained
 // cycle) without tearing the streamer down, so a carousel that emptied at
 // layer 3 can jump straight to the next cycle's layer 0.
+//
+// A read nobody will consume is cancelled, not waited out. TruncateSchedule
+// below the in-flight position, SkipTo past it and the destructor all cancel
+// that read through its CancelToken: it stops at once, its buffer is freed
+// uncounted, and the simulated device frees up at the cancel instant when
+// the read is the tail of its queue (see src/storage/ssd.h). So an
+// early-exiting request stops paying for the rest of a load it never uses.
 #ifndef PRISM_SRC_STORAGE_LAYER_STREAMER_H_
 #define PRISM_SRC_STORAGE_LAYER_STREAMER_H_
 
@@ -36,6 +43,7 @@
 #include "src/common/memory_tracker.h"
 #include "src/common/mutex.h"
 #include "src/storage/blob_file.h"
+#include "src/storage/ssd.h"
 
 namespace prism {
 
@@ -56,7 +64,7 @@ struct StreamerStats {
 
   int64_t bytes_loaded = 0;
   int64_t stall_micros = 0;    // Time Acquire spent waiting on I/O.
-  int64_t blobs_loaded = 0;
+  int64_t blobs_loaded = 0;    // Completed reads; cancelled ones count nowhere.
   // Indexed by min(seq / schedule_size, kMaxTrackedCycles - 1); entries
   // exist up to the furthest position touched. Totals above are exact sums
   // of this vector.
@@ -84,14 +92,15 @@ class LayerStreamer {
   void Release(size_t seq);
 
   // Stops prefetching beyond the given sequence point (early termination by
-  // pruning). In-flight loads complete; subsequent Acquire calls must not
-  // exceed `last_seq`. Sequence points are monotonic even in cyclic mode, so
-  // this truncates mid-cycle exactly like mid-schedule.
+  // pruning). A read in flight for a position past `last_seq` is cancelled;
+  // subsequent Acquire calls must not exceed `last_seq`. Sequence points are
+  // monotonic even in cyclic mode, so this truncates mid-cycle exactly like
+  // mid-schedule.
   void TruncateSchedule(size_t last_seq);
 
   // Discards every unconsumed position below `seq` without stopping the
-  // walk: ready buffers holding skipped positions are freed now, in-flight
-  // loads are freed on completion, and prefetching resumes from `seq`. The
+  // walk: ready buffers holding skipped positions are freed now, a read in
+  // flight for one is cancelled, and prefetching resumes from `seq`. The
   // carousel uses this to wrap early — jumping from a drained cycle's middle
   // to the next cycle's first layer — instead of fetching layers nobody
   // needs. `seq` must not precede a position already consumed.
@@ -132,6 +141,11 @@ class LayerStreamer {
   size_t release_floor_ PRISM_GUARDED_BY(mu_) = 0;
   // Exclusive end (may shrink via Truncate).
   size_t schedule_end_ PRISM_GUARDED_BY(mu_) = 0;
+  // Position of the prefetcher's read (SIZE_MAX when idle) and the token
+  // that cancels it. The token is re-armed under mu_ before each read, so a
+  // cancel decided under mu_ always targets the read it saw.
+  size_t in_flight_seq_ PRISM_GUARDED_BY(mu_) = SIZE_MAX;
+  CancelToken read_cancel_;
   bool shutting_down_ PRISM_GUARDED_BY(mu_) = false;
   StreamerStats stats_ PRISM_GUARDED_BY(mu_);
   std::thread prefetcher_;

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -28,7 +29,38 @@ SimulatedSsd::~SimulatedSsd() {
   }
 }
 
-Status SimulatedSsd::Read(int64_t offset, std::span<uint8_t> dest) {
+void CancelToken::Cancel() {
+  {
+    MutexLock lock(mu_);
+    cancelled_ = true;
+  }
+  cv_->NotifyAll();
+}
+
+void CancelToken::Reset() {
+  MutexLock lock(mu_);
+  cancelled_ = false;
+}
+
+bool CancelToken::cancelled() const {
+  MutexLock lock(mu_);
+  return cancelled_;
+}
+
+bool CancelToken::WaitUntil(double deadline_ms) {
+  MutexLock lock(mu_);
+  while (!cancelled_) {
+    if (!cv_->WaitUntil(mu_, deadline_ms)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Status SimulatedSsd::Read(int64_t offset, std::span<uint8_t> dest, CancelToken* cancel) {
+  if (cancel != nullptr && cancel->cancelled()) {
+    return Status::Cancelled("read cancelled before it was queued");
+  }
   size_t done = 0;
   while (done < dest.size()) {
     const ssize_t n = ::pread(fd_, dest.data() + done, dest.size() - done,
@@ -41,7 +73,7 @@ Status SimulatedSsd::Read(int64_t offset, std::span<uint8_t> dest) {
     }
     done += static_cast<size_t>(n);
   }
-  ChargeTransfer(static_cast<int64_t>(dest.size()));
+  PRISM_RETURN_IF_ERROR(ChargeTransfer(static_cast<int64_t>(dest.size()), cancel));
   {
     MutexLock lock(mu_);
     stats_.bytes_read += static_cast<int64_t>(dest.size());
@@ -118,31 +150,49 @@ SsdStats SimulatedSsd::stats() const {
   return stats_;
 }
 
-void SimulatedSsd::ChargeTransfer(int64_t bytes) {
+Status SimulatedSsd::ChargeTransfer(int64_t bytes, CancelToken* cancel) {
   if (!config_.throttle) {
-    return;
+    return Status::Ok();
   }
   const int64_t duration =
       config_.latency_micros +
       static_cast<int64_t>(static_cast<double>(bytes) / config_.bandwidth_bytes_per_sec * 1e6);
-  int64_t wake_at;
+  int64_t start;
+  uint64_t transfer;
   {
     MutexLock lock(mu_);
-    const int64_t now = NowMicros();
-    const int64_t start = std::max(now, device_free_at_micros_);
+    start = std::max(NowMicros(), device_free_at_micros_);
     device_free_at_micros_ = start + duration;
     stats_.busy_micros += duration;
-    wake_at = device_free_at_micros_;
+    transfer = ++transfers_queued_;
   }
+  const int64_t end = start + duration;
   const int64_t now = NowMicros();
-  if (wake_at > now) {
+  if (end <= now) {
+    return Status::Ok();
+  }
+  if (cancel == nullptr) {
     // prism-lint: allow(wall-clock): device-domain throttle. The SSD model
     // stretches *real* I/O to the modelled bandwidth, and real work runs at
     // wall speed even under a SimClock (src/common/clock.h: only waiting is
     // virtualized — simulated runs replace this device with SimulatedRunner
     // charges on the virtual timeline instead).
-    std::this_thread::sleep_for(std::chrono::microseconds(wake_at - now));
+    std::this_thread::sleep_for(std::chrono::microseconds(end - now));
+    return Status::Ok();
   }
+  // The same device-domain wait, interruptible by the token.
+  if (!cancel->WaitUntil(WallClock::Get().NowMs() + static_cast<double>(end - now) / 1000.0)) {
+    return Status::Ok();
+  }
+  MutexLock lock(mu_);
+  if (transfer == transfers_queued_) {
+    // The tail of the queue: the device stops serving it at the cancel
+    // instant (never before it started, so earlier transfers keep theirs).
+    const int64_t freed_at = std::clamp(NowMicros(), start, end);
+    stats_.busy_micros -= end - freed_at;
+    device_free_at_micros_ = freed_at;
+  }
+  return Status::Cancelled("read cancelled during its transfer");
 }
 
 std::string MakeTempDevicePath(const std::string& tag) {

@@ -7,14 +7,23 @@
 // and a bandwidth cap. Concurrent readers serialise behind the queue exactly
 // like a single NVMe device at queue depth 1, which is the regime a
 // double-buffered layer streamer operates in.
+//
+// A read may carry a CancelToken. Cancelling it while the read waits out its
+// modelled transfer returns kCancelled at once. If that read is the tail of
+// the device queue, the device frees up at the cancel instant: the next
+// request starts then, and busy time keeps only the part already served. A
+// cancelled read with others queued behind it leaves the queue untouched, so
+// no request ever moves ahead of an earlier one.
 #ifndef PRISM_SRC_STORAGE_SSD_H_
 #define PRISM_SRC_STORAGE_SSD_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 
 #include "src/common/annotations.h"
+#include "src/common/clock.h"
 #include "src/common/mutex.h"
 #include "src/common/status.h"
 
@@ -40,6 +49,31 @@ struct SsdStats {
   int64_t busy_micros = 0;  // Modelled device-busy time.
 };
 
+// A cancellation signal for one read at a time. Cancel wakes a read blocked
+// in its device-queue wait; Reset re-arms the token for the next read.
+class CancelToken {
+ public:
+  CancelToken() : cv_(WallClock::Get().MakeCondVar()) {}
+
+  CancelToken(const CancelToken&) = delete;
+  CancelToken& operator=(const CancelToken&) = delete;
+
+  void Cancel();
+  void Reset();
+  bool cancelled() const;
+
+  // Parks until the wall clock reads `deadline_ms` or the token is
+  // cancelled, whichever comes first. Returns true iff cancelled first.
+  bool WaitUntil(double deadline_ms);
+
+ private:
+  mutable Mutex mu_;
+  // Device-domain wait: the throttle stretches real I/O on the wall clock,
+  // even under a SimClock (see ChargeTransfer).
+  std::unique_ptr<ClockCondVar> cv_;
+  bool cancelled_ PRISM_GUARDED_BY(mu_) = false;
+};
+
 class SimulatedSsd {
  public:
   // Opens (creating if necessary) the backing file.
@@ -49,7 +83,10 @@ class SimulatedSsd {
   SimulatedSsd(const SimulatedSsd&) = delete;
   SimulatedSsd& operator=(const SimulatedSsd&) = delete;
 
-  Status Read(int64_t offset, std::span<uint8_t> dest);
+  // With `cancel`, the read returns kCancelled as soon as the token fires
+  // before the transfer's modelled end (see file comment); a cancelled read
+  // counts toward neither bytes_read nor read_requests.
+  Status Read(int64_t offset, std::span<uint8_t> dest, CancelToken* cancel = nullptr);
   Status Write(int64_t offset, std::span<const uint8_t> src);
 
   // Scattered read submitted as one request: the device model charges the
@@ -67,7 +104,8 @@ class SimulatedSsd {
 
  private:
   // Blocks the caller to model `bytes` moving through the device queue.
-  void ChargeTransfer(int64_t bytes);
+  // Returns kCancelled iff `cancel` fires before the transfer's end.
+  Status ChargeTransfer(int64_t bytes, CancelToken* cancel = nullptr);
 
   std::string path_;
   SsdConfig config_;
@@ -76,6 +114,8 @@ class SimulatedSsd {
   int64_t append_offset_ PRISM_GUARDED_BY(mu_) = 0;
   // Queue model: when the device frees up.
   int64_t device_free_at_micros_ PRISM_GUARDED_BY(mu_) = 0;
+  // Transfers ever queued; a transfer whose number equals it is the tail.
+  uint64_t transfers_queued_ PRISM_GUARDED_BY(mu_) = 0;
   SsdStats stats_ PRISM_GUARDED_BY(mu_);
 };
 

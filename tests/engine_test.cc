@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "src/core/engine.h"
@@ -297,6 +298,38 @@ TEST_F(EngineTest, BytesStreamedCountsConsumedLayerBlobsOnly) {
                                              LayerBlobBytes(config_, options.precision));
   EXPECT_EQ(first.stats.bytes_streamed, expected);
   EXPECT_EQ(engine.Rerank(request_).stats.bytes_streamed, expected);
+}
+
+TEST_F(EngineTest, EarlyExitOnThrottledStreamingMatchesResident) {
+  // An early exit cancels the streamer's read of the next layer at pass
+  // teardown. That must change neither the ranking (bit for bit, against
+  // the resident path) nor the bytes charged, on the first request or on the
+  // ones whose passes open right after a cancelled read.
+  const int64_t layer_bytes = LayerBlobBytes(config_, Precision::kFp32);
+  MemoryTracker t1;
+  MemoryTracker t2;
+  PrismOptions streaming = BaseOptions();
+  streaming.dispersion_threshold = 0.05f;
+  streaming.device = SlowSsdDevice(static_cast<double>(layer_bytes) * 100.0);  // ~10 ms a layer.
+  PrismOptions resident = streaming;
+  resident.streaming = false;
+  resident.device = FastDevice();
+  PrismEngine streamed_engine(config_, ckpt_, streaming, &t1);
+  PrismEngine resident_engine(config_, ckpt_, resident, &t2);
+  const RerankResult want = resident_engine.Rerank(request_);
+  ASSERT_LT(want.stats.layers_until_done, config_.n_layers);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    const RerankResult got = streamed_engine.Rerank(request_);
+    EXPECT_EQ(got.topk, want.topk) << "repeat " << repeat;
+    ASSERT_EQ(got.scores.size(), want.scores.size());
+    EXPECT_EQ(std::memcmp(got.scores.data(), want.scores.data(),
+                          got.scores.size() * sizeof(float)),
+              0)
+        << "repeat " << repeat;
+    EXPECT_EQ(got.stats.layers_until_done, want.stats.layers_until_done);
+    EXPECT_EQ(got.stats.bytes_streamed,
+              static_cast<int64_t>(got.stats.layers_until_done) * layer_bytes);
+  }
 }
 
 TEST_F(EngineTest, ExactRankModeMatchesFullTopKOrder) {

@@ -2,7 +2,10 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -40,6 +43,37 @@ SsdConfig Unthrottled() {
   SsdConfig config;
   config.throttle = false;
   return config;
+}
+
+// A device slow enough that a cancelled read is told from a completed one by
+// hundreds of milliseconds: kSlowBlobBytes takes ~500 ms at 1 MiB/s.
+constexpr size_t kSlowBlobBytes = 512 * 1024;
+
+SsdConfig SlowDevice() {
+  SsdConfig config;
+  config.bandwidth_bytes_per_sec = 1.0 * 1024 * 1024;
+  config.latency_micros = 0;
+  return config;
+}
+
+// Polls `done` until it holds or `timeout` passes; returns whether it held.
+bool WaitFor(const std::function<bool()>& done,
+             std::chrono::milliseconds timeout = std::chrono::milliseconds(2000)) {
+  const WallTimer timer;
+  while (!done()) {
+    if (timer.ElapsedMicros() > timeout.count() * 1000) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+std::thread CancelAfter(CancelToken* token, std::chrono::milliseconds delay) {
+  return std::thread([token, delay] {
+    std::this_thread::sleep_for(delay);
+    token->Cancel();
+  });
 }
 
 TEST(SsdTest, WriteReadRoundTrip) {
@@ -94,6 +128,74 @@ TEST(SsdTest, StatsAccumulate) {
   EXPECT_EQ(stats.bytes_written, 100);
   EXPECT_EQ(stats.bytes_read, 50);
   EXPECT_EQ(stats.read_requests, 1);
+}
+
+class SlowSsdTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    SimulatedSsd writer(file_.path(), Unthrottled());
+    ASSERT_TRUE(writer.Write(0, RandomBytes(kSlowBlobBytes, 7)).ok());
+  }
+
+  TempFile file_{"ssd_slow"};
+};
+
+TEST_F(SlowSsdTest, CancelledReadReturnsLongBeforeItsModelledEnd) {
+  SimulatedSsd ssd(file_.path(), SlowDevice());
+  std::vector<uint8_t> buf(kSlowBlobBytes);
+  CancelToken cancel;
+  const WallTimer timer;
+  std::thread canceller = CancelAfter(&cancel, std::chrono::milliseconds(20));
+  const Status status = ssd.Read(0, buf, &cancel);
+  canceller.join();
+  EXPECT_EQ(status.code(), StatusCode::kCancelled);
+  EXPECT_LT(timer.ElapsedMicros(), 150000);  // The transfer alone is ~500 ms.
+  // Nothing was delivered; the device was busy only for the part it served.
+  const SsdStats stats = ssd.stats();
+  EXPECT_EQ(stats.read_requests, 0);
+  EXPECT_EQ(stats.bytes_read, 0);
+  EXPECT_LT(stats.busy_micros, 150000);
+  // A token that already fired refuses the read outright.
+  EXPECT_EQ(ssd.Read(0, buf, &cancel).code(), StatusCode::kCancelled);
+}
+
+TEST_F(SlowSsdTest, CancelledTailFreesTheDeviceAtTheCancelInstant) {
+  SimulatedSsd ssd(file_.path(), SlowDevice());
+  std::vector<uint8_t> buf(kSlowBlobBytes);
+  CancelToken cancel;
+  std::thread canceller = CancelAfter(&cancel, std::chrono::milliseconds(20));
+  EXPECT_EQ(ssd.Read(0, buf, &cancel).code(), StatusCode::kCancelled);
+  canceller.join();
+  // The next read starts at once instead of queueing behind the ~480 ms the
+  // cancelled transfer had left.
+  std::vector<uint8_t> small(1024);
+  const WallTimer timer;
+  ASSERT_TRUE(ssd.Read(0, small).ok());
+  EXPECT_LT(timer.ElapsedMicros(), 150000);
+}
+
+TEST_F(SlowSsdTest, CancelAheadOfQueuedReadsLeavesTheQueueInPlace) {
+  // A (cancellable) is queued first, B right behind it; each takes ~250 ms.
+  // Cancelling A must leave the queue as it was: a read C issued after the
+  // cancel still starts only once B ends, at ~500 ms.
+  SimulatedSsd ssd(file_.path(), SlowDevice());
+  std::vector<uint8_t> a_buf(kSlowBlobBytes / 2);
+  std::vector<uint8_t> b_buf(kSlowBlobBytes / 2);
+  CancelToken cancel;
+  const WallTimer timer;
+  Status a_status;
+  std::thread a([&] { a_status = ssd.Read(0, a_buf, &cancel); });
+  ASSERT_TRUE(WaitFor([&] { return ssd.stats().busy_micros > 0; }));  // A is queued.
+  std::thread b([&] { EXPECT_TRUE(ssd.Read(0, b_buf).ok()); });
+  ASSERT_TRUE(WaitFor([&] { return ssd.stats().busy_micros > 300000; }));  // B too.
+  cancel.Cancel();
+  a.join();
+  EXPECT_EQ(a_status.code(), StatusCode::kCancelled);
+  std::vector<uint8_t> c_buf(1024);
+  ASSERT_TRUE(ssd.Read(0, c_buf).ok());
+  EXPECT_GE(timer.ElapsedMicros(), 450000);
+  EXPECT_GE(ssd.stats().busy_micros, 500000);  // A's slot stays charged.
+  b.join();
 }
 
 TEST(BlobFileTest, RoundTripMultipleBlobs) {
@@ -444,7 +546,7 @@ TEST_F(StreamerTest, TruncateStopsPrefetch) {
   streamer.TruncateSchedule(0);
   streamer.Release(0);
   // Destruction after truncation must not hang (checked by test completion);
-  // at most the already-inflight blob 1 may have loaded.
+  // blob 1 counts only if its read completed before the truncation.
   EXPECT_LE(streamer.stats().blobs_loaded, 2);
 }
 
@@ -493,8 +595,8 @@ TEST_F(StreamerTest, CyclicKeepsAtMostTwoBlobsResidentAcrossCycles) {
 TEST_F(StreamerTest, CyclicTruncateMidCycleStopsPrefetch) {
   // TruncateSchedule caps the monotonic sequence space, so truncating at
   // seq 8 — layer 2 of the second revolution — behaves exactly like a
-  // mid-schedule truncation: in-flight loads finish, nothing past the cap
-  // starts, destruction does not hang.
+  // mid-schedule truncation: a read in flight past the cap is cancelled,
+  // nothing past the cap starts, destruction does not hang.
   MemoryTracker tracker;
   LayerStreamer streamer(reader_.get(), {0, 1, 2, 3, 4, 5}, 2, &tracker, /*cyclic=*/true);
   for (size_t seq = 0; seq <= 8; ++seq) {
@@ -561,6 +663,84 @@ TEST_F(StreamerTest, StallAccountingIsMonotonic) {
     last = now;
   }
   streamer.TruncateSchedule(11);
+}
+
+// Three ~500 ms blobs behind a throttled device: long enough that waiting
+// out a read and cancelling it differ by far more than scheduling noise.
+class SlowStreamerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    BlobFileWriter writer(file_.path());
+    for (int i = 0; i < 3; ++i) {
+      blobs_.push_back(RandomBytes(kSlowBlobBytes, 80 + i));
+      writer.AddBlob(blobs_.back());
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+    auto reader = BlobFileReader::Open(file_.path(), SlowDevice());
+    ASSERT_TRUE(reader.ok());
+    reader_ = std::move(reader).value();
+  }
+
+  // True once the prefetcher has claimed a buffer for seq 1 while seq 0 is
+  // still held, i.e. seq 1's read is in flight.
+  bool SecondReadInFlight(const MemoryTracker& tracker) {
+    return WaitFor([&] {
+      return tracker.CurrentBytes(MemCategory::kWeights) ==
+             2 * static_cast<int64_t>(kSlowBlobBytes);
+    });
+  }
+
+  TempFile file_{"slow_streamer"};
+  std::vector<std::vector<uint8_t>> blobs_;
+  std::unique_ptr<BlobFileReader> reader_;
+};
+
+TEST_F(SlowStreamerTest, DestructionCancelsTheReadInFlight) {
+  MemoryTracker tracker;
+  auto streamer = std::make_unique<LayerStreamer>(
+      reader_.get(), std::vector<size_t>{0, 1, 2}, 2, &tracker);
+  streamer->Acquire(0);
+  ASSERT_TRUE(SecondReadInFlight(tracker));
+  const WallTimer timer;
+  streamer.reset();
+  EXPECT_LT(timer.ElapsedMicros(), 150000);
+}
+
+TEST_F(SlowStreamerTest, TruncateBelowTheReadInFlightCancelsIt) {
+  MemoryTracker tracker;
+  LayerStreamer streamer(reader_.get(), {0, 1, 2}, 2, &tracker);
+  streamer.Acquire(0);
+  ASSERT_TRUE(SecondReadInFlight(tracker));
+  streamer.TruncateSchedule(0);
+  // Seq 1's buffer is freed long before its transfer would have ended.
+  EXPECT_TRUE(WaitFor(
+      [&] {
+        return tracker.CurrentBytes(MemCategory::kWeights) ==
+               static_cast<int64_t>(kSlowBlobBytes);
+      },
+      std::chrono::milliseconds(150)));
+  streamer.Release(0);
+  EXPECT_EQ(streamer.stats().blobs_loaded, 1);
+}
+
+TEST_F(SlowStreamerTest, SkipPastTheReadInFlightDeliversTheTargetWithoutWaitingItOut) {
+  MemoryTracker tracker;
+  LayerStreamer streamer(reader_.get(), {0, 1, 2}, 2, &tracker);
+  streamer.Acquire(0);
+  ASSERT_TRUE(SecondReadInFlight(tracker));
+  streamer.Release(0);
+  const WallTimer timer;
+  streamer.SkipTo(2);
+  const auto bytes = streamer.Acquire(2);
+  // One ~500 ms read, not the skipped read's remainder in front of it too.
+  EXPECT_LT(timer.ElapsedMicros(), 800000);
+  ASSERT_EQ(bytes.size(), blobs_[2].size());
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), blobs_[2].begin()));
+  streamer.Release(2);
+  // The cancelled read counts nowhere: only seq 0 and seq 2 completed.
+  const StreamerStats stats = streamer.stats();
+  EXPECT_EQ(stats.blobs_loaded, 2);
+  EXPECT_EQ(stats.bytes_loaded, 2 * static_cast<int64_t>(kSlowBlobBytes));
 }
 
 TEST(SpillPoolTest, SpillTakeRoundTrip) {
