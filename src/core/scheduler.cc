@@ -24,25 +24,29 @@ RerankResult MakeShedResult(double deadline_ms, double waited_ms) {
 RerankResult SerialScheduler::Submit(const RerankRequest& request) {
   const double arrived_ms = clock_->NowMs();
   mu_.Lock();
-  while (busy_) {
+  // Turns are served in ticket order, so a caller that just finished cannot
+  // take the runner again ahead of the callers already waiting for it.
+  const uint64_t ticket = next_ticket_++;
+  while (ticket != serving_) {
     cv_->Wait(mu_);
   }
   // The budget covers time spent queueing for the runner: if it ran out
   // while other requests held it, answer cheaply instead of running.
   const double waited_ms = clock_->NowMs() - arrived_ms;
   if (request.deadline_ms > 0.0 && waited_ms >= request.deadline_ms) {
+    ++serving_;  // Pass the turn on to the next ticket.
     mu_.Unlock();
-    cv_->NotifyOne();  // Hand the turn we were woken for to the next waiter.
+    cv_->NotifyAll();
     return MakeShedResult(request.deadline_ms, waited_ms);
   }
-  busy_ = true;
   mu_.Unlock();
   RerankResult result = runner_->Rerank(request);
   result.stats.queue_wait_ms = waited_ms;
   mu_.Lock();
-  busy_ = false;
+  ++serving_;
   mu_.Unlock();
-  cv_->NotifyOne();
+  // Every waiter re-checks its ticket; only the next one proceeds.
+  cv_->NotifyAll();
   return result;
 }
 
@@ -231,32 +235,42 @@ CarouselScheduler::Stats CarouselScheduler::stats() const {
 void CarouselScheduler::AdmitBoundary(CarouselPass* pass,
                                       std::vector<RequestQueue::Pending> batch,
                                       std::vector<Resident>* residents) {
-  if (batch.empty()) {
-    return;
+  // The boundary stays open while its joiners embed: whoever queued in the
+  // meantime boards this same boundary in another round, until a pop comes
+  // back empty or the carousel is full. Each round admits at least one
+  // request, so a boundary runs at most max_inflight_ rounds.
+  while (!batch.empty()) {
+    const double now_ms = clock_->NowMs();
+    std::vector<const RerankRequest*> requests;
+    requests.reserve(batch.size());
+    for (const RequestQueue::Pending& pending : batch) {
+      requests.push_back(pending.request);
+    }
+    // One AdmitBatch call per round: the engine fans the joiners' embeds out
+    // across the compute pool instead of serializing them while the carousel
+    // stalls.
+    std::vector<std::unique_ptr<CarouselTicket>> tickets =
+        pass->AdmitBatch(requests, compute_pool_.get());
+    PRISM_CHECK_EQ(tickets.size(), batch.size());
+    size_t max_wait = 0;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Resident resident;
+      resident.queue_wait_ms = now_ms - batch[i].admitted_ms;
+      resident.ticket = std::move(tickets[i]);
+      resident.promise = std::move(batch[i].promise);
+      max_wait = std::max(max_wait, static_cast<size_t>(batch[i].admission_wait));
+      residents->push_back(std::move(resident));
+    }
+    {
+      MutexLock lock(stats_mu_);
+      stats_.admitted += batch.size();
+      stats_.max_boundary_wait = std::max(stats_.max_boundary_wait, max_wait);
+    }
+    if (residents->size() >= max_inflight_) {
+      break;
+    }
+    batch = queue_.TryPopBatch(max_inflight_ - residents->size());
   }
-  const double now_ms = clock_->NowMs();
-  std::vector<const RerankRequest*> requests;
-  requests.reserve(batch.size());
-  for (const RequestQueue::Pending& pending : batch) {
-    requests.push_back(pending.request);
-  }
-  // One AdmitBatch call: the engine fans the joiners' embeds out across the
-  // compute pool instead of serializing them while the carousel stalls.
-  std::vector<std::unique_ptr<CarouselTicket>> tickets =
-      pass->AdmitBatch(requests, compute_pool_.get());
-  PRISM_CHECK_EQ(tickets.size(), batch.size());
-  size_t max_wait = 0;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Resident resident;
-    resident.queue_wait_ms = now_ms - batch[i].admitted_ms;
-    resident.ticket = std::move(tickets[i]);
-    resident.promise = std::move(batch[i].promise);
-    max_wait = std::max(max_wait, static_cast<size_t>(batch[i].admission_wait));
-    residents->push_back(std::move(resident));
-  }
-  MutexLock lock(stats_mu_);
-  stats_.admitted += batch.size();
-  stats_.max_boundary_wait = std::max(stats_.max_boundary_wait, max_wait);
 }
 
 void CarouselScheduler::DispatchLoop() {

@@ -3,11 +3,11 @@
 // A Scheduler decides how concurrent Rerank calls reach the engine:
 //
 //   SerialScheduler  — one request at a time through a Runner (the original
-//                      behaviour; callers queue for a busy flag). Required
-//                      when the runner is stateful, e.g. the
-//                      OnlineCalibrator. Deadlines are honoured at dispatch:
-//                      a request whose budget expired while waiting its turn
-//                      is shed.
+//                      behaviour; callers take a ticket and are served in
+//                      arrival order). Required when the runner is
+//                      stateful, e.g. the OnlineCalibrator. Deadlines are
+//                      honoured at dispatch: a request whose budget expired
+//                      while waiting its turn is shed.
 //   CarouselScheduler — continuous batching: callers enqueue into a
 //                      ticketed RequestQueue and a dispatcher thread rides a
 //                      cyclic layer pass (CarouselRunner::BeginCarousel)
@@ -16,10 +16,15 @@
 //                      next-needed layer is k: one weight fetch serves them
 //                      all (the paper's §3.3 global view extended across
 //                      requests) and their compute fans out on a worker
-//                      pool. New requests are admitted at the next layer-0
-//                      boundary (worst-case wait one cycle), and a request
-//                      that terminates — pruned to completion or failed —
-//                      exits and answers its caller immediately. When the
+//                      pool. New requests board at a layer-0 boundary. A
+//                      boundary stays open while its joiners embed: a
+//                      request that arrives during that embed boards the
+//                      same boundary, and layer 0 steps only once the queue
+//                      is empty or the carousel is full. A request that
+//                      arrives after layer 0 has stepped waits for the next
+//                      boundary (worst-case wait one cycle). A request that
+//                      terminates — pruned to completion or failed — exits
+//                      and answers its caller immediately. When the
 //                      carousel drains mid-cycle with work queued, it skips
 //                      the rest of the cycle (the layers nobody needs are
 //                      never fetched) and wraps early. Admission order, not
@@ -77,9 +82,10 @@ class Scheduler {
 // queue wait.
 RerankResult MakeShedResult(double deadline_ms, double waited_ms);
 
-// One-at-a-time pass-through to a Runner: callers queue on a busy flag
-// (clock-aware, so waiters are visible to a SimClock) and are dispatched
-// FIFO by arrival at the flag.
+// One-at-a-time pass-through to a Runner: each caller takes a ticket under
+// the lock and waits (clock-aware, so waiters are visible to a SimClock)
+// until the tickets before it have been served or shed, so callers run in
+// arrival order and a caller that just finished cannot cut back in.
 class SerialScheduler : public Scheduler {
  public:
   explicit SerialScheduler(Runner* runner, Clock* clock = nullptr)
@@ -93,7 +99,9 @@ class SerialScheduler : public Scheduler {
   Clock* clock_;
   std::unique_ptr<ClockCondVar> cv_;
   Mutex mu_;
-  bool busy_ PRISM_GUARDED_BY(mu_) = false;
+  // Ticket-lock: Submit takes next_ticket_ and runs when serving_ reaches it.
+  uint64_t next_ticket_ PRISM_GUARDED_BY(mu_) = 0;
+  uint64_t serving_ PRISM_GUARDED_BY(mu_) = 0;
 };
 
 // Ticketed priority-then-FIFO queue of pending requests, single-consumer by
@@ -188,14 +196,20 @@ class RequestQueue {
 // dispatcher owns one CarouselPass per busy period: it admits up to
 // `max_inflight` resident requests at each layer-0 boundary (priority-then-
 // FIFO, deadline shedding via RequestQueue), steps every arriving layer's
-// depth group, and answers each request the moment it finishes.
+// depth group, and answers each request the moment it finishes. A boundary
+// closes only when the queue is empty or the carousel is full: requests that
+// queue while the boundary's joiners embed board it too, so a closed-loop
+// cohort returning at the wrap rides one cycle instead of straggling over
+// several. The embed that already stalls the boundary is the only window;
+// there is no timer.
 class CarouselScheduler : public Scheduler {
  public:
   // Progress counters, mainly for tests and benches. `max_boundary_wait` is
   // the most admission events any request saw between enqueue and
   // admission (RequestQueue::Pending::admission_wait): with
   // free capacity it is exactly 1 (a request enqueued mid-cycle is admitted
-  // at the very next boundary), which is the "worst-case wait one cycle"
+  // at the very next boundary, one enqueued while a boundary's joiners embed
+  // at that same boundary), which is the "worst-case wait one cycle"
   // admission-latency guarantee; each capacity-bound skip adds 1.
   struct Stats {
     size_t passes = 0;     // Busy periods (carousel spin-ups).
@@ -231,8 +245,9 @@ class CarouselScheduler : public Scheduler {
   };
 
   void DispatchLoop();
-  // Admits `batch` into `pass` at a layer-0 boundary, updating the admission
-  // stats.
+  // Admits `batch` into `pass` at a layer-0 boundary, then keeps the
+  // boundary open for whatever queued while that batch embedded, until the
+  // queue is empty or the carousel is full. Updates the admission stats.
   void AdmitBoundary(CarouselPass* pass, std::vector<RequestQueue::Pending> batch,
                      std::vector<Resident>* residents);
 

@@ -63,7 +63,10 @@ struct RerankStats {
   double queue_wait_ms = 0.0;
   // Time from engine admission until this request's first layer forward
   // begins — embed plus the wait for layer 0's weights (a cold streamer
-  // start shows up here; a carousel wrap's warm prefetch does not).
+  // start shows up here; a carousel wrap's warm prefetch does not). On the
+  // carousel it also holds the embeds of requests that boarded the same
+  // layer-0 boundary after this one: the boundary stays open while its
+  // joiners embed, and layer 0 steps only once it closes.
   // queue_wait_ms + first_layer_ms is the request's time-to-first-layer.
   double first_layer_ms = 0.0;
   int64_t candidate_layers = 0;  // Σ over layers of active candidates (work).

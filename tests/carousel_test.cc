@@ -1,11 +1,14 @@
 // CarouselScheduler and CarouselPass mechanics: continuous batching over the
 // cyclic layer stream must keep every result bit-identical to serial
 // execution while admitting at layer-0 boundaries, exiting finished requests
-// mid-cycle, and reusing streamer buffers across wrap-arounds. Runs in the
-// TSan and concurrency-stress CI lanes.
+// mid-cycle, and reusing streamer buffers across wrap-arounds. The boarding
+// rule — a boundary stays open while its joiners embed — is checked on
+// virtual time against a scripted pass. Runs in the TSan and
+// concurrency-stress CI lanes.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -340,6 +343,185 @@ TEST(RequestQueueTryPopTest, AdmissionWaitCountsNonEmptyPops) {
   first.get();
   second.get();
   third.get();
+}
+
+// A scripted carousel on virtual time: every AdmitBatch call costs
+// `embed_ms` and every Step `step_ms` on the clock, and a ticket is done
+// after its `n_layers` steps. The runner logs each AdmitBatch call (the
+// requests it boarded, in order) and each layer-0 group size, so a test can
+// read off which boundary every request boarded. Logs are written by the
+// dispatcher thread only; read them after the scheduler is destroyed.
+class EmbedWindowRunner : public CarouselRunner {
+ public:
+  EmbedWindowRunner(Clock* clock, size_t n_layers, double embed_ms, double step_ms)
+      : clock_(clock), n_layers_(n_layers), embed_ms_(embed_ms), step_ms_(step_ms) {}
+
+  RerankResult Rerank(const RerankRequest& /*request*/) override { return RerankResult{}; }
+  std::string name() const override { return "embed-window"; }
+
+  std::unique_ptr<CarouselPass> BeginCarousel() override {
+    return std::make_unique<Pass>(this);
+  }
+
+  // One entry per AdmitBatch call: the requests it boarded.
+  std::vector<std::vector<const RerankRequest*>> admit_rounds;
+  // One entry per layer-0 step: how many tickets it forwarded.
+  std::vector<size_t> layer0_groups;
+
+ private:
+  struct Ticket : CarouselTicket {
+    Ticket(const RerankRequest* r, size_t n) : request(r), n_layers(n) {}
+    size_t next_layer() const override { return steps; }
+    bool done() const override { return steps == n_layers; }
+    RerankResult TakeResult() override { return RerankResult{}; }
+
+    const RerankRequest* request;
+    size_t n_layers;
+    size_t steps = 0;
+  };
+
+  class Pass : public CarouselPass {
+   public:
+    explicit Pass(EmbedWindowRunner* runner) : runner_(runner) {}
+
+    size_t n_layers() const override { return runner_->n_layers_; }
+
+    std::unique_ptr<CarouselTicket> Admit(const RerankRequest& request) override {
+      return std::make_unique<Ticket>(&request, runner_->n_layers_);
+    }
+
+    std::vector<std::unique_ptr<CarouselTicket>> AdmitBatch(
+        std::span<const RerankRequest* const> requests, ThreadPool* /*compute_pool*/) override {
+      runner_->admit_rounds.emplace_back(requests.begin(), requests.end());
+      runner_->clock_->SleepFor(runner_->embed_ms_);
+      std::vector<std::unique_ptr<CarouselTicket>> tickets;
+      for (const RerankRequest* request : requests) {
+        tickets.push_back(Admit(*request));
+      }
+      return tickets;
+    }
+
+    void Step(size_t layer, std::span<CarouselTicket* const> group,
+              ThreadPool* /*compute_pool*/) override {
+      if (layer == 0) {
+        runner_->layer0_groups.push_back(group.size());
+      }
+      runner_->clock_->SleepFor(runner_->step_ms_);
+      for (CarouselTicket* ticket : group) {
+        ++static_cast<Ticket*>(ticket)->steps;
+      }
+    }
+
+    void SkipToNextCycle() override {}
+
+   private:
+    EmbedWindowRunner* runner_;
+  };
+
+  Clock* clock_;
+  size_t n_layers_;
+  double embed_ms_;
+  double step_ms_;
+};
+
+// Virtual-time boarding scenario: client i sleeps until `arrive_ms[i]`, then
+// submits requests[i] once. Returns each client's result.
+std::vector<RerankResult> SubmitAt(SimClock* clock, CarouselScheduler* scheduler,
+                                   const std::vector<RerankRequest>& requests,
+                                   const std::vector<double>& arrive_ms) {
+  std::vector<RerankResult> results(arrive_ms.size());
+  clock->ExpectParticipants(arrive_ms.size());
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < arrive_ms.size(); ++i) {
+    clients.emplace_back([&, i] {
+      const ClockMembership membership(clock);
+      clock->SleepUntil(arrive_ms[i]);
+      results[i] = scheduler->Submit(requests[i]);
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  return results;
+}
+
+TEST(CarouselBoardingTest, ArrivalDuringJoinerEmbedBoardsTheSameBoundary) {
+  // A arrives at 0 and embeds over [0, 5); B arrives at 2, inside that
+  // window. The boundary stays open for B, so both ride layer 0 together:
+  // one cycle, one layer-0 group of two.
+  SimClock clock;
+  EmbedWindowRunner runner(&clock, /*n_layers=*/2, /*embed_ms=*/5.0, /*step_ms=*/10.0);
+  const std::vector<RerankRequest> requests(2);
+  std::vector<RerankResult> results;
+  CarouselScheduler::Stats stats;
+  {
+    CarouselScheduler scheduler(&runner, /*max_inflight=*/4, /*compute_threads=*/1,
+                                /*linger_ms=*/0.0, &clock);
+    results = SubmitAt(&clock, &scheduler, requests, {0.0, 2.0});
+    stats = scheduler.stats();
+  }
+  EXPECT_EQ(stats.passes, 1u);
+  EXPECT_EQ(stats.cycles, 1u);
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(stats.max_boundary_wait, 1u);
+  ASSERT_EQ(runner.admit_rounds.size(), 2u);  // A's round, then B's.
+  EXPECT_EQ(runner.admit_rounds[0], std::vector<const RerankRequest*>{&requests[0]});
+  EXPECT_EQ(runner.admit_rounds[1], std::vector<const RerankRequest*>{&requests[1]});
+  EXPECT_EQ(runner.layer0_groups, std::vector<size_t>{2});
+  // B boarded the moment A's embed ended, not a cycle later.
+  EXPECT_DOUBLE_EQ(results[0].stats.queue_wait_ms, 0.0);
+  EXPECT_DOUBLE_EQ(results[1].stats.queue_wait_ms, 3.0);
+}
+
+TEST(CarouselBoardingTest, ArrivalAfterLayerZeroSteppedWaitsForNextBoundary) {
+  // A embeds over [0, 5) and layer 0 steps over [5, 15). B arrives at 7:
+  // the boundary has closed, so B boards at the wrap (t = 25).
+  SimClock clock;
+  EmbedWindowRunner runner(&clock, /*n_layers=*/2, /*embed_ms=*/5.0, /*step_ms=*/10.0);
+  const std::vector<RerankRequest> requests(2);
+  std::vector<RerankResult> results;
+  CarouselScheduler::Stats stats;
+  {
+    CarouselScheduler scheduler(&runner, /*max_inflight=*/4, /*compute_threads=*/1,
+                                /*linger_ms=*/0.0, &clock);
+    results = SubmitAt(&clock, &scheduler, requests, {0.0, 7.0});
+    stats = scheduler.stats();
+  }
+  EXPECT_EQ(stats.passes, 1u);
+  EXPECT_EQ(stats.cycles, 2u);
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(stats.max_boundary_wait, 1u);
+  EXPECT_EQ(runner.layer0_groups, (std::vector<size_t>{1, 1}));
+  EXPECT_DOUBLE_EQ(results[1].stats.queue_wait_ms, 25.0 - 7.0);
+}
+
+TEST(CarouselBoardingTest, FullCarouselClosesTheBoundary) {
+  // Two slots, three clients: A at 0, B and C at 2 (inside A's embed). The
+  // open boundary tops the carousel up with B alone — exactly max_inflight
+  // riders — and C boards at the next boundary, skipped once.
+  SimClock clock;
+  EmbedWindowRunner runner(&clock, /*n_layers=*/2, /*embed_ms=*/5.0, /*step_ms=*/10.0);
+  const std::vector<RerankRequest> requests(3);
+  std::vector<RerankResult> results;
+  CarouselScheduler::Stats stats;
+  {
+    CarouselScheduler scheduler(&runner, /*max_inflight=*/2, /*compute_threads=*/1,
+                                /*linger_ms=*/0.0, &clock);
+    results = SubmitAt(&clock, &scheduler, requests, {0.0, 2.0, 2.0});
+    stats = scheduler.stats();
+  }
+  for (const RerankResult& result : results) {
+    EXPECT_TRUE(result.status.ok());
+  }
+  EXPECT_EQ(stats.passes, 1u);
+  EXPECT_EQ(stats.cycles, 2u);
+  EXPECT_EQ(stats.admitted, 3u);
+  EXPECT_EQ(stats.max_boundary_wait, 2u);
+  ASSERT_EQ(runner.admit_rounds.size(), 3u);
+  EXPECT_EQ(runner.admit_rounds[0].size(), 1u);
+  EXPECT_EQ(runner.admit_rounds[1].size(), 1u);
+  EXPECT_EQ(runner.admit_rounds[2].size(), 1u);
+  EXPECT_EQ(runner.layer0_groups, (std::vector<size_t>{2, 1}));
 }
 
 }  // namespace

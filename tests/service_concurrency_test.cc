@@ -831,6 +831,57 @@ TEST(ShedQueueWaitTest, SerialSchedulerInlineShedCarriesWait) {
   EXPECT_GE(shed.stats.queue_wait_ms, 10.0);
 }
 
+// Closed-loop clients on a SerialScheduler are served in arrival order: a
+// client whose request just returned resubmits behind everyone already
+// waiting instead of racing them for the runner. On virtual time the order
+// is exact — the clock only advances past a 10 ms pass once every client
+// holds a ticket — so the service log must repeat the first round verbatim.
+TEST(SerialSchedulerTest, ClosedLoopClientsAreServedInArrivalOrder) {
+  constexpr size_t kClients = 4;
+  constexpr size_t kRounds = 5;
+  SimClock clock;
+  // Sleeps 10 virtual ms per pass and logs which client (request.k) it ran.
+  class LoggingRunner : public Runner {
+   public:
+    explicit LoggingRunner(Clock* clock) : clock_(clock) {}
+    RerankResult Rerank(const RerankRequest& request) override {
+      served.push_back(request.k);  // One pass at a time: the scheduler serialises.
+      clock_->SleepFor(10.0);
+      return RerankResult{};
+    }
+    std::string name() const override { return "logging"; }
+    std::vector<size_t> served;
+
+   private:
+    Clock* clock_;
+  } runner(&clock);
+  SerialScheduler scheduler(&runner, &clock);
+
+  clock.ExpectParticipants(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const ClockMembership membership(&clock);
+      RerankRequest request;
+      request.k = c;
+      for (size_t round = 0; round < kRounds; ++round) {
+        ASSERT_TRUE(scheduler.Submit(request).status.ok());
+      }
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  ASSERT_EQ(runner.served.size(), kClients * kRounds);
+  std::vector<size_t> first_round(runner.served.begin(), runner.served.begin() + kClients);
+  std::sort(first_round.begin(), first_round.end());
+  EXPECT_EQ(std::unique(first_round.begin(), first_round.end()), first_round.end());
+  for (size_t i = kClients; i < runner.served.size(); ++i) {
+    EXPECT_EQ(runner.served[i], runner.served[i % kClients]) << "service " << i;
+  }
+  EXPECT_DOUBLE_EQ(clock.NowMs(), 10.0 * kClients * kRounds);
+}
+
 TEST(ShedQueueWaitTest, RequestQueueShedCarriesWait) {
   // Carousel shed path: an expired entry answered by the queue's expiry
   // sweep reports its full queue residence as queue wait.
