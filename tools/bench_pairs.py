@@ -5,7 +5,7 @@ Usage (from anywhere inside the repository):
 
     python3 tools/bench_pairs.py --pr N --pairs 10
     python3 tools/bench_pairs.py --pr N --run slow_flash:1 --child HEAD  # parent HEAD~1
-    python3 tools/bench_pairs.py --pr N --run rag_open_loop:1:10:5 --run lone_rerank:1:5
+    python3 tools/bench_pairs.py --pr N --pairs 10 --run rag_open_loop:1:5 --run lone_rerank:1
 
 Each side is exported with `git archive` into its own directory outside the
 repository (`--work`, default a fresh temporary directory), so neither run
@@ -13,12 +13,12 @@ sees the other's sources or the working tree's build outputs. `--child
 WORKTREE` (the default) exports the working tree's tracked files as they are
 now, staged or not; new files count only once `git add`ed.
 
-For every `--run WORKLOAD:SEED[:PAIRS[:TRACE_PAIRS]]` the script runs
+For every `--run WORKLOAD:SEED[:TRACE_PAIRS]` the script runs
 `python3 perfbench/run.py --workload W --seed S --trace 0` in both exports,
-PAIRS times (default `--pairs`), swapping which side goes first on every pair
-so that slow drift on the host hits both sides alike. TRACE_PAIRS more pairs
-(default `--trace`, 0) run with `--trace 1` and give the per-layer rows. Each
-side builds into its own CARGO_TARGET_DIR. The metrics come from the
+`--pairs` times, swapping which side goes first on every pair so that slow
+drift on the host hits both sides alike. TRACE_PAIRS more pairs (default
+`--trace`, 0) run with `--trace 1` and give the per-layer rows. Each side
+builds into its own CARGO_TARGET_DIR. The metrics come from the
 `results/*.json` that run.py writes.
 
 The output holds the host (cores, ISA, compiler, build type), both commits,
@@ -137,18 +137,17 @@ def compare(metric, parent, child):
     }
 
 
-def parse_run(spec, pairs, trace_pairs):
-    """WORKLOAD:SEED[:PAIRS[:TRACE_PAIRS]] -> (workload, seed, pairs, trace_pairs)."""
+def parse_run(spec, trace_pairs):
+    """WORKLOAD:SEED[:TRACE_PAIRS] -> (workload, seed, trace_pairs)."""
     fields = spec.split(":")
-    if not 1 <= len(fields) <= 4 or not fields[0]:
-        raise ValueError("bad --run %r: want WORKLOAD:SEED[:PAIRS[:TRACE_PAIRS]]" % spec)
-    numbers = [int(f) for f in fields[1:]] + [None] * (4 - len(fields))
+    if not 1 <= len(fields) <= 3 or not fields[0]:
+        raise ValueError("bad --run %r: want WORKLOAD:SEED[:TRACE_PAIRS]" % spec)
+    numbers = [int(f) for f in fields[1:]] + [None] * (3 - len(fields))
     seed = 1 if numbers[0] is None else numbers[0]
-    pairs = pairs if numbers[1] is None else numbers[1]
-    trace_pairs = trace_pairs if numbers[2] is None else numbers[2]
-    if pairs < 1 or trace_pairs < 0:
-        raise ValueError("bad --run %r: want PAIRS >= 1 and TRACE_PAIRS >= 0" % spec)
-    return fields[0], seed, pairs, trace_pairs
+    trace_pairs = trace_pairs if numbers[1] is None else numbers[1]
+    if trace_pairs < 0:
+        raise ValueError("bad --run %r: want TRACE_PAIRS >= 0" % spec)
+    return fields[0], seed, trace_pairs
 
 
 def scalar_details(result):
@@ -187,7 +186,7 @@ def main():
     parser.add_argument("--pairs", type=int, default=5, help="end-to-end pairs per run")
     parser.add_argument("--trace", type=int, default=0,
                         help="--trace 1 pairs per run, for the per-layer rows (default 0)")
-    parser.add_argument("--run", action="append", metavar="WORKLOAD:SEED[:PAIRS[:TRACE_PAIRS]]",
+    parser.add_argument("--run", action="append", metavar="WORKLOAD:SEED[:TRACE_PAIRS]",
                         help="repeatable; default: %s" % " ".join(DEFAULT_RUNS))
     parser.add_argument("--seconds", type=float, help="per run (default: BENCHMARK.json's)")
     parser.add_argument("--work", help="export and build directory outside the repository")
@@ -195,8 +194,10 @@ def main():
     args = parser.parse_args()
     if args.parent is None:
         args.parent = "HEAD" if args.child == "WORKTREE" else args.child + "~1"
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     try:
-        runs = [parse_run(spec, args.pairs, args.trace) for spec in args.run or DEFAULT_RUNS]
+        runs = [parse_run(spec, args.trace) for spec in args.run or DEFAULT_RUNS]
     except ValueError as e:
         parser.error(str(e))
 
@@ -215,14 +216,14 @@ def main():
 
     host = None
     report = {}
-    for workload, seed, pairs, trace_pairs in runs:
-        samples = run_pairs(sides, workload, seed, pairs, 0, args.seconds)
+    for workload, seed, trace_pairs in runs:
+        samples = run_pairs(sides, workload, seed, args.pairs, 0, args.seconds)
         host = host or samples["parent"][0]["host"]
         details = {}
         for name in sorted(scalar_details(samples["parent"][0])):
             details[name] = {side: spread([r["details"][name] for r in samples[side]])
                              for side in ("parent", "child")}
-        entry = {"pairs": pairs, "trace_pairs": trace_pairs,
+        entry = {"pairs": args.pairs, "trace_pairs": trace_pairs,
                  "end_to_end": compare_all(benchmark["end_to_end"], "end_to_end", samples),
                  "details": details}
         if trace_pairs:

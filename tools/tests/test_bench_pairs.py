@@ -96,18 +96,16 @@ class CompareTest(unittest.TestCase):
 
 class ParseRunTest(unittest.TestCase):
     def test_defaults_fill_missing_fields(self):
-        self.assertEqual(bench_pairs.parse_run("rag_open_loop", 5, 0), ("rag_open_loop", 1, 5, 0))
-        self.assertEqual(bench_pairs.parse_run("slow_flash:7919", 5, 2),
-                         ("slow_flash", 7919, 5, 2))
+        self.assertEqual(bench_pairs.parse_run("rag_open_loop", 0), ("rag_open_loop", 1, 0))
+        self.assertEqual(bench_pairs.parse_run("slow_flash:7919", 2), ("slow_flash", 7919, 2))
 
-    def test_explicit_pairs_and_trace_pairs_override(self):
-        self.assertEqual(bench_pairs.parse_run("rag_open_loop:1:10:5", 5, 0),
-                         ("rag_open_loop", 1, 10, 5))
+    def test_explicit_trace_pairs_override(self):
+        self.assertEqual(bench_pairs.parse_run("rag_open_loop:1:5", 0), ("rag_open_loop", 1, 5))
 
     def test_rejects_malformed_specs(self):
-        for spec in ("", ":1", "w:1:0", "w:1:2:-1", "w:1:2:3:4", "w:x"):
+        for spec in ("", ":1", "w:1:-1", "w:1:2:3", "w:x"):
             with self.assertRaises(ValueError, msg=spec):
-                bench_pairs.parse_run(spec, 5, 0)
+                bench_pairs.parse_run(spec, 0)
 
 
 if __name__ == "__main__":
